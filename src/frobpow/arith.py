@@ -37,6 +37,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_power_of(q: int, p: int) -> bool:
+    """Whether q = p^e for some e >= 0; false for every q < 1."""
+    if q < 1:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Little-endian base-p digits of n >= 0; the empty tuple represents 0."""
     if n < 0:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import p_adic_decompose
+from .arith import is_power_of, p_adic_decompose
 from .errors import (
     ExponentOverflowError,
     FrobpowError,
@@ -414,10 +414,7 @@ def run_command(file: ProblemFile, command: str, args: argparse.Namespace) -> di
 
 
 def _parse_q(file: ProblemFile, q: int) -> int:
-    qq = q
-    while qq > 1 and qq % file.p == 0:
-        qq //= file.p
-    if q < 1 or qq != 1:
+    if not is_power_of(q, file.p):
         raise PreconditionError(f"q = {q} is not a power of p = {file.p}")
     return q
 

@@ -19,32 +19,14 @@ from .arith import p_adic_decompose
 from .errors import PreconditionError, ResourceCapError
 from .ideal import (
     Ideal,
+    compact,
     frob_power_int,
     frob_root,
+    frob_root_product,
     ideal_contains,
-    ideal_product,
-)
-from .monomial import (
-    mono_contains,
-    mono_frob_power_int,
-    mono_product,
-    mono_root,
 )
 
 ITERATION_CAP = 64
-COMPACT_THRESHOLD = 48
-
-
-def _compact(a: Ideal) -> Ideal:
-    # Swap a bloated generator list for a smaller one generating the same
-    # ideal: cheap monomial-part pruning first, reduced basis as last resort.
-    if a.is_monomial:
-        return a
-    if len(a.gens) > COMPACT_THRESHOLD:
-        a = prune_generators(a)
-    if len(a.gens) > 4 * COMPACT_THRESHOLD:
-        a = Ideal(a.ring, a.reduced_basis().polys)
-    return a
 
 
 def p_rational_power(a: Ideal, k: int, q: int) -> Ideal:
@@ -82,25 +64,10 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int 
     if not 0 <= r < qc - 1:
         # r = p^c - 1 would break the digit-disjointness behind the recursion
         raise PreconditionError("division data out of range: need 0 <= r < p^c - 1")
-    if a.is_monomial:
-        am = a.to_monomial()
-        a_r = mono_frob_power_int(am, r)
-        current = mono_root(mono_frob_power_int(am, r + 1), qc)
-        for _ in range(iteration_cap):
-            nxt = mono_root(mono_product(a_r, current), qc)
-            if mono_contains(current, nxt):
-                break
-            current = nxt
-        else:
-            raise ResourceCapError(
-                "rational_power iteration cap exceeded; this signals a bug, not a math failure"
-            )
-        final = mono_root(mono_product(mono_frob_power_int(am, l), current), p**b)
-        return Ideal.from_monomial(final)
-    a_r = _compact(frob_power_int(a, r))
-    current = _compact(frob_root(frob_power_int(a, r + 1), qc))
+    a_r = compact(frob_power_int(a, r))
+    current = compact(frob_root(frob_power_int(a, r + 1), qc))
     for _ in range(iteration_cap):
-        nxt = _compact(frob_root(ideal_product(a_r, current), qc))
+        nxt = compact(frob_root_product(a_r, current, qc))
         if ideal_contains(current, nxt):
             break
         current = nxt
@@ -108,7 +75,7 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int 
         raise ResourceCapError(
             "rational_power iteration cap exceeded; this signals a bug, not a math failure"
         )
-    return frob_root(ideal_product(frob_power_int(a, l), current), p**b)
+    return frob_root_product(frob_power_int(a, l), current, p**b)
 
 
 def skoda_split(a: Ideal, t: Fraction | int) -> tuple[Ideal, Ideal]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import is_power_of
 from .errors import PreconditionError
 from .frobpower import rational_power
 from .ideal import Ideal, eliminate
@@ -104,10 +105,7 @@ def stratify(
     if b.is_zero() or b.is_unit():
         raise PreconditionError("stratify needs a nonzero proper monomial ideal")
     p = base.p
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if q < 1 or qq != 1:
+    if not is_power_of(q, p):
         raise PreconditionError("q must be a power of the characteristic")
     ctx = ExtendedRingContext.for_generators(base, len(gens))
     G = ctx.generic_combination(gens)

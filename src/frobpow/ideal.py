@@ -5,9 +5,12 @@ of reduced Groebner bases keyed by monomial order.  Every operation is
 invariant under replacing the generators by another generating set of the
 same ideal.  Equality is mathematical: reduced bases are canonical forms.
 
-Monomial inputs are routed to the antichain arithmetic of
-:mod:`frobpow.monomial`, which is what keeps large-characteristic
-computations fast; principal ideals use the identity <f>^{[k]} = <f^k>.
+This module is the single dispatch point between the two representations.
+A monomial ideal built by :meth:`Ideal.from_monomial` is a view over an
+antichain of :mod:`frobpow.monomial`: it stores no polynomials until
+``gens`` is read, and every operation below hands monomial inputs to the
+antichain kernel, which is what keeps large-characteristic computations
+fast.  Principal ideals use the identity <f>^{[k]} = <f^k>.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .arith import base_p_digits, multinomial_nonzero_mod_p
+from .arith import base_p_digits, is_power_of, multinomial_nonzero_mod_p
 from .errors import PreconditionError, ResourceCapError
 from .groebner import GroebnerBasis, groebner_basis
 from .monomial import (
@@ -31,17 +34,18 @@ from .monomial import (
 from .poly import MonomialOrder, Polynomial, PolyRing
 
 COMPOSITION_CAP = 10**6
-_COMPACT_THRESHOLD = 48
+COMPACT_THRESHOLD = 48
 
 
 class Ideal:
     """Finitely generated ideal of a polynomial ring over Z/p.
 
     Generators are stored monic, deduplicated and canonically sorted; the
-    zero ideal has an empty generator list.
+    zero ideal has an empty generator list.  A monomial view keeps only its
+    antichain and builds ``gens`` from it on first access.
     """
 
-    __slots__ = ("ring", "gens", "_cache", "_mono")
+    __slots__ = ("ring", "_gens", "_cache", "_mono")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         key = ring.sort_key()
@@ -54,7 +58,7 @@ class Ideal:
             g = g.monic()
             cleaned[frozenset(g.terms.items())] = g
         self.ring = ring
-        self.gens = tuple(
+        self._gens = tuple(
             sorted(
                 cleaned.values(),
                 key=lambda g: (key(g.leading_exponent(key)), sorted(g.terms.items())),
@@ -68,47 +72,55 @@ class Ideal:
 
     @staticmethod
     def from_monomial(mi: MonomialIdeal) -> "Ideal":
-        # The antichain is already canonical (minimal, sorted by ring order).
+        """Zero-copy view of an antichain (already minimal, sorted by ring order)."""
         ideal = object.__new__(Ideal)
         ideal.ring = mi.ring
-        ideal.gens = tuple(
-            Polynomial(mi.ring, {u: 1}, _canonical=True) for u in mi.gens
-        )
+        ideal._gens = None
         ideal._cache = {}
         ideal._mono = mi
         return ideal
 
     @staticmethod
     def unit(ring: PolyRing) -> "Ideal":
-        return Ideal(ring, [ring.one()])
+        return Ideal.from_monomial(MonomialIdeal._build(ring, [(0,) * ring.nvars]))
 
     @staticmethod
     def zero(ring: PolyRing) -> "Ideal":
-        return Ideal(ring, [])
+        return Ideal.from_monomial(MonomialIdeal._build(ring, ()))
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(
+                Polynomial(self.ring, {u: 1}, _canonical=True) for u in self._mono.gens
+            )
+        return self._gens
+
     def is_zero(self) -> bool:
-        return not self.gens
+        if self._mono is not None:
+            return self._mono.is_zero()
+        return not self._gens
 
     @property
     def is_monomial(self) -> bool:
-        return all(g.is_term() for g in self.gens)
+        return self._mono is not None or all(g.is_term() for g in self._gens)
 
     def to_monomial(self) -> MonomialIdeal:
         if self._mono is None:
             if not self.is_monomial:
                 raise PreconditionError("not a monomial ideal")
             self._mono = MonomialIdeal(
-                self.ring, [g.leading_exponent() for g in self.gens]
+                self.ring, [g.leading_exponent() for g in self._gens]
             )
         return self._mono
 
     def is_unit(self) -> bool:
-        if any(g.is_constant() for g in self.gens):
-            return True
         if self.is_monomial:
             return self.to_monomial().is_unit()
+        if any(g.is_constant() for g in self._gens):
+            return True
         return self.reduced_basis().is_unit()
 
     def is_proper(self) -> bool:
@@ -139,10 +151,10 @@ class Ideal:
             return NotImplemented
         if self.ring != other.ring:
             return False
-        if self.gens == other.gens:
-            return True
         if self.is_monomial and other.is_monomial:
             return self.to_monomial() == other.to_monomial()
+        if self.gens == other.gens:
+            return True
         return self.reduced_basis().polys == other.reduced_basis().polys
 
     def __hash__(self):
@@ -185,9 +197,7 @@ def ideal_power(a: Ideal, k: int) -> Ideal:
         return Ideal(a.ring, [a.gens[0] ** k])
     result = a
     for _ in range(k - 1):
-        result = ideal_product(result, a)
-        if len(result.gens) > _COMPACT_THRESHOLD:
-            result = prune_generators(result)
+        result = compact(ideal_product(result, a))
     return result
 
 
@@ -228,6 +238,23 @@ def prune_generators(a: Ideal) -> Ideal:
     return Ideal(a.ring, kept)
 
 
+def compact(a: Ideal) -> Ideal:
+    """The same ideal with a smaller generator list when the list has bloated.
+
+    Generator lists explode combinatorially under products; past
+    COMPACT_THRESHOLD generators the cheap monomial-part pruning runs, and
+    past four times that the reduced basis replaces the list.  Monomial
+    ideals are already minimal.
+    """
+    if a.is_monomial:
+        return a
+    if len(a.gens) > COMPACT_THRESHOLD:
+        a = prune_generators(a)
+    if len(a.gens) > 4 * COMPACT_THRESHOLD:
+        a = Ideal(a.ring, a.reduced_basis().polys)
+    return a
+
+
 def frob_power_int(a: Ideal, k: int) -> Ideal:
     """Integral Frobenius power via the base-p digits of k."""
     if k < 0:
@@ -245,12 +272,9 @@ def frob_power_int(a: Ideal, k: int) -> Ideal:
     result = Ideal.unit(a.ring)
     for i, d in enumerate(base_p_digits(k, p)):
         if d:
-            result = ideal_product(result, bracket_power(ideal_power(a, d), p**i))
-            if len(result.gens) > _COMPACT_THRESHOLD:
-                # generator lists explode combinatorially across digit levels
-                result = prune_generators(result)
-            if len(result.gens) > 4 * _COMPACT_THRESHOLD:
-                result = Ideal(a.ring, result.reduced_basis().polys)
+            result = compact(
+                ideal_product(result, bracket_power(ideal_power(a, d), p**i))
+            )
     return result
 
 
@@ -305,15 +329,37 @@ def frob_root(a: Ideal, q: int) -> Ideal:
         return a
     if a.is_monomial:
         return Ideal.from_monomial(mono_root(a.to_monomial(), q))
-    gens: list[Polynomial] = []
-    for g in a.gens:
-        classes: dict[tuple[int, ...], dict] = {}
-        for u, c in g.terms.items():
-            res = tuple(e % q for e in u)
-            classes.setdefault(res, {})[tuple(e // q for e in u)] = c
-        for part in classes.values():
-            gens.append(Polynomial(a.ring, part, _canonical=True))
-    return Ideal(a.ring, gens)
+    return _root_split(a.ring, a.gens, q)
+
+
+def frob_root_product(a: Ideal, b: Ideal, q: int) -> Ideal:
+    """(a b)^{[1/q]} = frob_root(ideal_product(a, b), q), without the product.
+
+    Each product f g of generators goes through the residue-class split as
+    soon as it is formed, so only the (smaller) root generators are kept.
+    """
+    _same_ring(a, b)
+    _check_q(a.ring, q)
+    if a.is_zero() or b.is_zero():
+        return Ideal.zero(a.ring)
+    if a.is_monomial and b.is_monomial:
+        return Ideal.from_monomial(
+            mono_root(mono_product(a.to_monomial(), b.to_monomial()), q)
+        )
+    return _root_split(a.ring, (f * g for f in a.gens for g in b.gens), q)
+
+
+def _root_split(ring: PolyRing, polys: Iterable[Polynomial], q: int) -> Ideal:
+    def parts():
+        for g in polys:
+            classes: dict[tuple[int, ...], dict] = {}
+            for u, c in g.terms.items():
+                res = tuple(e % q for e in u)
+                classes.setdefault(res, {})[tuple(e // q for e in u)] = c
+            for part in classes.values():
+                yield Polynomial(ring, part, _canonical=True)
+
+    return Ideal(ring, parts())
 
 
 # -- decision procedures ---------------------------------------------------------
@@ -371,9 +417,9 @@ def _same_ring(a: Ideal, b: Ideal):
 
 
 def _check_q(ring: PolyRing, q: int):
-    if q < 1:
-        raise PreconditionError("q must be a positive power of p")
-    while q % ring.p == 0:
-        q //= ring.p
-    if q != 1:
-        raise PreconditionError("q must be a power of the characteristic")
+    if not is_power_of(q, ring.p):
+        raise PreconditionError(
+            "q must be a positive power of p"
+            if q < 1
+            else "q must be a power of the characteristic"
+        )

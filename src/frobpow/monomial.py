@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .arith import base_p_digits, ceil_fraction
 from .errors import ArityMismatchError, PreconditionError, ResourceCapError
-from .poly import Exponent, PolyRing, Polynomial
+from .poly import Exponent, PolyRing, Polynomial, monomial_scale
 
 FM_CONSTRAINT_CAP = 20000
 
@@ -149,7 +149,11 @@ def mono_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 def mono_bracket(a: MonomialIdeal, q: int) -> MonomialIdeal:
-    return MonomialIdeal._build(a.ring, [tuple(e * q for e in u) for u in a.gens])
+    # Scaling by q keeps the generators minimal and in ring order: no rebuild.
+    out = object.__new__(MonomialIdeal)
+    out.ring = a.ring
+    out.gens = tuple(monomial_scale(u, q) for u in a.gens)
+    return out
 
 
 def mono_root(a: MonomialIdeal, q: int) -> MonomialIdeal:

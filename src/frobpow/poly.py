@@ -137,25 +137,9 @@ class MonomialOrder:
 # -- Exponent-tuple helpers (the Monomial type is a plain tuple of ints) -----
 
 
-def monomial_mul(u: Exponent, v: Exponent) -> Exponent:
-    w = tuple(a + b for a, b in zip(u, v))
-    if any(e > MAX_EXPONENT for e in w):
-        raise ExponentOverflowError(f"exponent exceeds 64-bit bound: {w}")
-    return w
-
-
-def monomial_divides(u: Exponent, v: Exponent) -> bool:
-    """Whether x^u divides x^v (componentwise u <= v)."""
-    return all(a <= b for a, b in zip(u, v))
-
-
-def monomial_lcm(u: Exponent, v: Exponent) -> Exponent:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
 def monomial_scale(u: Exponent, q: int) -> Exponent:
     w = tuple(e * q for e in u)
-    if any(e > MAX_EXPONENT for e in w):
+    if max(w, default=0) > MAX_EXPONENT:
         raise ExponentOverflowError(f"exponent exceeds 64-bit bound: {w}")
     return w
 
@@ -446,14 +430,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_pow(f: Polynomial, k: int) -> Polynomial:
-    return f**k
 
 
 # -- text form ----------------------------------------------------------------

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ceil_fraction, floor_fraction
+from .arith import ceil_fraction, floor_fraction, is_power_of
 from .errors import PreconditionError
 from .frobpower import rational_power
 from .ideal import Ideal, bracket_power, frob_power_int, ideal_contains
-from .monomial import mono_bracket, mono_contains, mono_frob_power_int, mono_member
+from .monomial import mono_member
 from .poly import Polynomial
 
 RADICAL_EXPONENT_CAP = 1 << 10
@@ -90,11 +90,7 @@ def check_radical_containment(a: Ideal, b: Ideal, cap: int = RADICAL_EXPONENT_CA
 
 
 def _validate_pair(a: Ideal, b: Ideal, q: int):
-    p = a.ring.p
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if q < p or qq != 1:
+    if q < a.ring.p or not is_power_of(q, a.ring.p):
         raise PreconditionError("q must be a positive power of p (q >= p)")
     if a.is_zero() or a.is_unit() or b.is_zero() or b.is_unit():
         raise PreconditionError("mu/nu need nonzero proper ideals")
@@ -110,18 +106,10 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
         _validate_pair(a, b, q)
         check_radical_containment(a, b)
     p = a.ring.p
-    if a.is_monomial and b.is_monomial:
-        am = a.to_monomial()
-        bqm = mono_bracket(b.to_monomial(), q)
+    bq = bracket_power(b, q)
 
-        def outside(k: int) -> bool:
-            return not mono_contains(bqm, mono_frob_power_int(am, k))
-
-    else:
-        bq = bracket_power(b, q)
-
-        def outside(k: int) -> bool:
-            return not ideal_contains(bq, frob_power_int(a, k))
+    def outside(k: int) -> bool:
+        return not ideal_contains(bq, frob_power_int(a, k))
 
     lo = _seed
     if not outside(lo):

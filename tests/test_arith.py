@@ -8,6 +8,7 @@ from frobpow.arith import (
     adds_without_carrying,
     base_p_digits,
     digits_to_int,
+    is_power_of,
     multinomial,
     multinomial_nonzero_mod_p,
     multiplicative_order,
@@ -106,3 +107,35 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(11, 7) == 3
     with pytest.raises(PreconditionError):
         multiplicative_order(3, 6)
+
+
+def test_is_power_of():
+    assert [q for q in range(-3, 30) if is_power_of(q, 3)] == [1, 3, 9, 27]
+    assert is_power_of(2**61, 2) and not is_power_of(2**61 + 2, 2)
+
+
+def _q_checks():
+    from frobpow.generic import stratify
+    from frobpow.ideal import bracket_power, frob_root
+    from frobpow.thresholds import mu, nu
+
+    from helpers import maximal, ring2
+
+    R = ring2(3)
+    m = maximal(R)
+    x = R.var("x")
+    return {
+        "mu": lambda q: mu(m, m, q),
+        "nu": lambda q: nu(x, m, q),
+        "stratify": lambda q: stratify([x], m.to_monomial(), 1, q),
+        "bracket_power": lambda q: bracket_power(m, q),
+        "frob_root": lambda q: frob_root(m, q),
+    }
+
+
+@pytest.mark.parametrize("q", [0, -3, 6])
+@pytest.mark.parametrize("name", ["mu", "nu", "stratify", "bracket_power", "frob_root"])
+def test_q_that_is_not_a_power_of_p_is_rejected(name, q):
+    # q = 0 used to spin forever in the repeated division by p
+    with pytest.raises(PreconditionError):
+        _q_checks()[name](q)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError
@@ -17,10 +18,14 @@ from frobpow.ideal import (
     Ideal,
     frob_power_int,
     frob_root,
+    frob_root_product,
     ideal_contains,
     ideal_power,
     ideal_product,
 )
+from frobpow.monomial import MonomialIdeal
+from frobpow.poly import PolyRing
+from frobpow.thresholds import mu
 
 from helpers import ideal, maximal, ring2, sample_tame_fractions
 
@@ -217,3 +222,56 @@ def test_step_function_invariants():
         StepFunction(breakpoints=(Fraction(1, 2),), values=(m,))
     with pytest.raises(PreconditionError):
         step.value_at(Fraction(3, 2))
+
+
+def test_general_path_past_the_compaction_threshold():
+    # Generator lists here pass COMPACT_THRESHOLD inside the stabilization loop.
+    R = PolyRing(2, ("x", "y", "z"))
+    a = ideal(
+        R,
+        "x^4*y^5*z^5 + y^3*z^5",
+        "x^5*y^4*z^4 + x^3*y^4*z^2 + x^5*y*z + y*z^4 + y^3",
+        "x^3*y^5*z^4 + x^2*y^5*z^4 + x^4*y^4*z",
+        "x^2*y^5*z^5 + x^5*y^3*z^3 + x^4*y^5*z + x^2*y^4*z^3 + x^4*z^3",
+        "x^4*y^3*z^2",
+    )
+    result = rational_power(a, Fraction(5, 7))
+    assert ideal_contains(result, a)
+    assert [str(g) for g in result.canonical_generators()] == ["x^2", "y^2", "z^2 + y"]
+
+
+def test_root_of_product_matches_root_of_built_product():
+    R = ring2(3)
+    for a in corpus(R):
+        for b in corpus(R):
+            for q in (1, 3, 9):
+                assert frob_root_product(a, b, q) == frob_root(ideal_product(a, b), q)
+
+
+@given(
+    p=st.sampled_from([2, 3]),
+    exps=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3
+    ),
+    shifts=st.tuples(*[st.integers(0, 2)] * 4),
+    seed=st.integers(0, 10**6),
+)
+def test_monomial_and_general_routes_agree(p, exps, shifts, seed):
+    # One stabilization loop and one mu predicate serve both routes; a
+    # redundant binomial x^u + x^v (both terms in the ideal) forces the
+    # Groebner route on the same ideal.
+    R = ring2(p)
+    am = MonomialIdeal(R, exps)
+    assume(am.is_proper())
+    g, h = am.gens[0], am.gens[-1]
+    u = (g[0] + shifts[0], g[1] + shifts[1])
+    v = (h[0] + shifts[2], h[1] + shifts[3])
+    assume(u != v)
+    mono = Ideal.from_monomial(am)
+    general = Ideal(R, [*mono.gens, R.monomial(u) + R.monomial(v)])
+    assert mono.is_monomial and not general.is_monomial
+    (t,) = sample_tame_fractions(random.Random(seed), p, 1, max_den=20, max_order=3)
+    assert rational_power(general, t) == rational_power(mono, t)
+    m = maximal(R)
+    for q in (p, p * p):
+        assert mu(general, m, q) == mu(mono, m, q)

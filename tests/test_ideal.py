@@ -3,7 +3,7 @@ import random
 import pytest
 
 from frobpow.arith import adds_without_carrying
-from frobpow.errors import ResourceCapError
+from frobpow.errors import ExponentOverflowError, ResourceCapError
 from frobpow.ideal import (
     Ideal,
     bracket_power,
@@ -236,3 +236,14 @@ def test_digit_product_matches_generator_formula_small(p):
     for a in corpus(R):
         for k in range(13):
             assert frob_power_int(a, k) == frob_power_int_gens(a, k)
+
+
+def test_bracket_exponent_cap_is_the_same_on_both_paths():
+    # 2 * 3^39 fits below 2^63; 3^40 does not.  The redundant binomial
+    # x^2 + y forces the general path on the same ideal.
+    R = ring2(3)
+    monomial, general = ideal(R, "x^2", "y"), ideal(R, "x^2", "y", "x^2+y")
+    assert bracket_power(monomial, 3**39) == bracket_power(general, 3**39)
+    for a in (monomial, general):
+        with pytest.raises(ExponentOverflowError):
+            bracket_power(a, 3**40)

@@ -222,3 +222,11 @@ def test_report_interval_brackets_candidate():
     assert rep.interval_low < rep.candidate <= Fraction(rep.mu_list[-1], rep.q_list[-1] - 1) or (
         rep.interval_low < rep.candidate <= rep.interval_high
     )
+
+
+def test_crit_reconstruct_general_ideal_p3():
+    R = ring2(3)
+    report = crit_reconstruct(ideal(R, "x^2+y^2", "x*y"), maximal(R), 3)
+    assert report.mu_list == (2, 8, 26)
+    assert report.candidate == 1
+    assert report.certified_exact
