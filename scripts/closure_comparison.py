@@ -42,7 +42,7 @@ def main():
         tau = newton_tau(bm, t)
         assert tau == newton_tau(cm, t)
         if tau != previous:
-            gens = ", ".join(str(R.monomial(u)) for u in tau.gens)
+            gens = ", ".join(str(g) for g in tau.polynomials())
             print(f"    t >= {t}: {gens}")
             previous = tau
 

@@ -42,7 +42,8 @@ class Ideal:
 
     Generators are stored monic, deduplicated and canonically sorted; the
     zero ideal has an empty generator list.  A monomial view keeps only its
-    antichain and builds ``gens`` from it on first access.
+    antichain and builds ``gens`` from it, in descending ring order, on first
+    access.
     """
 
     __slots__ = ("ring", "_gens", "_cache", "_mono")
@@ -72,7 +73,7 @@ class Ideal:
 
     @staticmethod
     def from_monomial(mi: MonomialIdeal) -> "Ideal":
-        """Zero-copy view of an antichain (already minimal, sorted by ring order)."""
+        """Zero-copy view of an antichain; ``gens`` lists it in ring order."""
         ideal = object.__new__(Ideal)
         ideal.ring = mi.ring
         ideal._gens = None
@@ -93,9 +94,7 @@ class Ideal:
     @property
     def gens(self) -> tuple[Polynomial, ...]:
         if self._gens is None:
-            self._gens = tuple(
-                Polynomial(self.ring, {u: 1}, _canonical=True) for u in self._mono.gens
-            )
+            self._gens = tuple(self._mono.polynomials())
         return self._gens
 
     def is_zero(self) -> bool:

@@ -1,9 +1,13 @@
 """Exact combinatorics of monomial ideals.
 
 A monomial ideal is stored as its minimal generators: an antichain of
-exponent vectors under componentwise <=.  All operations here are pure
-exponent manipulation, which is what makes the monomial fast path of the
-Frobenius-power routines cheap.
+exponent vectors under componentwise <=, kept in the order `minimalize`
+gives it (in two variables: x ascending, so y strictly descending).  That
+order is canonical, so equality and hashing compare the tuples directly, and
+the engine never sorts by the ring's monomial order; only `polynomials()`
+and `repr`, where generators leave the engine, list them in descending ring
+order.  All operations here are pure exponent manipulation, which is what
+makes the monomial fast path of the Frobenius-power routines cheap.
 
 The Newton-polyhedron routines (`newton_tau`, `newton_fpt`) are the
 characteristic-independent test-ideal oracles.  In two variables the
@@ -13,20 +17,31 @@ rational feasibility via Fourier-Motzkin elimination, guarded by a size cap.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import base_p_digits, ceil_fraction
-from .errors import ArityMismatchError, PreconditionError, ResourceCapError
+from .arith import MAX_EXPONENT, base_p_digits, ceil_fraction
+from .errors import (
+    ArityMismatchError,
+    ExponentOverflowError,
+    PreconditionError,
+    ResourceCapError,
+)
 from .poly import Exponent, PolyRing, Polynomial, monomial_scale
 
 FM_CONSTRAINT_CAP = 20000
 
 
 def minimalize(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Prune to the antichain of componentwise-minimal exponent vectors."""
-    pts = sorted(set(tuple(u) for u in exponents))
+    """Prune to the antichain of componentwise-minimal exponent vectors.
+
+    The result is sorted lexicographically in two variables (x ascending, y
+    strictly descending) and by total degree, ties lexicographic, otherwise.
+    """
+    pts = sorted(set(map(tuple, exponents)))
     if pts and len(pts[0]) == 2:
         # Two variables: one sweep with a running y-minimum suffices.
         kept2: list[Exponent] = []
@@ -58,16 +73,15 @@ class MonomialIdeal:
                 )
             if any(e < 0 for e in u):
                 raise PreconditionError("negative exponent in monomial ideal")
-        key = ring.sort_key()
         self.ring = ring
-        self.gens = tuple(sorted(minimalize(exps), key=key, reverse=True))
+        self.gens = minimalize(exps)
 
     @classmethod
     def _build(cls, ring: PolyRing, exponents: Iterable[Exponent]) -> "MonomialIdeal":
         # Trusted internal path: skips per-generator validation.
         obj = object.__new__(cls)
         obj.ring = ring
-        obj.gens = tuple(sorted(minimalize(exponents), key=ring.sort_key(), reverse=True))
+        obj.gens = minimalize(exponents)
         return obj
 
     # -- structure ------------------------------------------------------------
@@ -82,7 +96,12 @@ class MonomialIdeal:
         return not self.is_unit()
 
     def polynomials(self) -> list[Polynomial]:
-        return [self.ring.monomial(u) for u in self.gens]
+        """The minimal generators as monomials, in descending ring order."""
+        ring = self.ring
+        return [
+            Polynomial(ring, {u: 1}, _canonical=True)
+            for u in sorted(self.gens, key=ring.sort_key(), reverse=True)
+        ]
 
     def __eq__(self, other):
         return (
@@ -95,7 +114,7 @@ class MonomialIdeal:
         return hash((self.ring, self.gens))
 
     def __repr__(self):
-        gens = ", ".join(str(self.ring.monomial(u)) for u in self.gens) or "0"
+        gens = ", ".join(str(g) for g in self.polynomials()) or "0"
         return f"MonomialIdeal<{gens}>"
 
 
@@ -105,18 +124,31 @@ def mono_member(u: Exponent, a: MonomialIdeal) -> bool:
     if len(u) != a.ring.nvars:
         raise ArityMismatchError("exponent arity mismatch")
     if len(u) == 2:
-        ux, uy = u
-        return any(vx <= ux and vy <= uy for vx, vy in a.gens)
+        return _staircase_index(a.gens, u, 0) > 0
     return any(all(g <= e for g, e in zip(v, u)) for v in a.gens)
+
+
+def _staircase_index(gens: Sequence[Exponent], u: Exponent, start: int) -> int:
+    """For a 2-variable staircase: 1 + the index of a generator dividing x^u, or 0.
+
+    The generators with x-exponent <= u_x form a prefix (x ascending), and the
+    last of them has the smallest y-exponent; the search starts at `start`.
+    """
+    i = bisect_right(gens, (u[0], math.inf), start)
+    return i if i and gens[i - 1][1] <= u[1] else 0
 
 
 def mono_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Whether a contains b."""
     if a.ring.nvars == 2:
-        gens = a.gens
-        return all(
-            any(vx <= ux and vy <= uy for vx, vy in gens) for ux, uy in b.gens
-        )
+        # b's generators are x ascending too, so each search starts where
+        # the previous one ended.
+        i = 0
+        for u in b.gens:
+            i = _staircase_index(a.gens, u, i)
+            if not i:
+                return False
+        return True
     return all(mono_member(u, a) for u in b.gens)
 
 
@@ -125,8 +157,24 @@ def mono_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def mono_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """Product ideal; raises ExponentOverflowError as the general path does.
+
+    The general path multiplies every pair of generators, so it overflows
+    exactly when some coordinate's maxima over a and over b sum past
+    MAX_EXPONENT; that is tested before any product is formed.
+    """
     if a.is_zero() or b.is_zero():
         return MonomialIdeal._build(a.ring, ())
+    if a.ring.nvars == 2:
+        # x ascending, y descending: each coordinate's maximum is at one end
+        top = (a.gens[-1][0] + b.gens[-1][0], a.gens[0][1] + b.gens[0][1])
+    else:
+        top = tuple(
+            max(u[i] for u in a.gens) + max(v[i] for v in b.gens)
+            for i in range(a.ring.nvars)
+        )
+    if max(top) > MAX_EXPONENT:
+        raise ExponentOverflowError(f"product exponent exceeds 64-bit bound: {top}")
     if a.ring.nvars == 2:
         gens = [(ux + vx, uy + vy) for ux, uy in a.gens for vx, vy in b.gens]
     else:
@@ -134,22 +182,31 @@ def mono_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._build(a.ring, gens)
 
 
+def _unit(ring: PolyRing) -> MonomialIdeal:
+    return MonomialIdeal._build(ring, ((0,) * ring.nvars,))
+
+
 def mono_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     if k < 0:
         raise PreconditionError("negative ideal power")
-    result = MonomialIdeal._build(a.ring, ((0,) * a.ring.nvars,))
+    if k == 0:
+        return _unit(a.ring)
+    # Square-and-multiply, starting from the first factor rather than the
+    # unit ideal.
+    result = None
     base = a
-    while k:
+    while True:
         if k & 1:
-            result = mono_product(result, base)
+            result = base if result is None else mono_product(result, base)
         k >>= 1
-        if k:
-            base = mono_product(base, base)
-    return result
+        if not k:
+            return result
+        base = mono_product(base, base)
 
 
 def mono_bracket(a: MonomialIdeal, q: int) -> MonomialIdeal:
-    # Scaling by q keeps the generators minimal and in ring order: no rebuild.
+    # Scaling by q keeps the generators minimal and in minimalize's order
+    # (lexicographic, and by total degree): no rebuild.
     out = object.__new__(MonomialIdeal)
     out.ring = a.ring
     out.gens = tuple(monomial_scale(u, q) for u in a.gens)
@@ -158,17 +215,20 @@ def mono_bracket(a: MonomialIdeal, q: int) -> MonomialIdeal:
 
 def mono_root(a: MonomialIdeal, q: int) -> MonomialIdeal:
     """Frobenius root: componentwise floor division of the generators by q."""
+    if a.ring.nvars == 2:
+        return MonomialIdeal._build(a.ring, [(x // q, y // q) for x, y in a.gens])
     return MonomialIdeal._build(a.ring, [tuple(e // q for e in u) for u in a.gens])
 
 
 def mono_frob_power_int(a: MonomialIdeal, k: int) -> MonomialIdeal:
     """Integral Frobenius power along the base-p digits of k."""
     p = a.ring.p
-    result = MonomialIdeal._build(a.ring, ((0,) * a.ring.nvars,))
+    result = None
     for i, d in enumerate(base_p_digits(k, p)):
         if d:
-            result = mono_product(result, mono_bracket(mono_power(a, d), p**i))
-    return result
+            term = mono_bracket(mono_power(a, d), p**i)
+            result = term if result is None else mono_product(result, term)
+    return _unit(a.ring) if result is None else result
 
 
 # -- Newton polyhedron ---------------------------------------------------------
@@ -199,7 +259,7 @@ class _Polygon:
 
 
 def _newton_polygon(a: MonomialIdeal) -> _Polygon:
-    pts = sorted(a.gens)  # x ascending; antichain makes y strictly descending
+    pts = a.gens  # x ascending; antichain makes y strictly descending
     low = (min(x for x, _ in pts), min(y for _, y in pts))
     # Lower convex chain of the antichain (Andrew's monotone chain, lower hull).
     hull: list[tuple[int, int]] = []

@@ -6,6 +6,9 @@ crit inside (mu(q)/q, (mu(q)+1)/q].  Reconstruction searches that interval
 for rationals of the shape k/(p^b (p^c - 1)) with user-capped b, c, accepts a
 candidate when its predicted mu-pattern matches every computed value and its
 Frobenius power lands inside b, and reports the smallest accepted candidate.
+Every rational in the interval predicts the same pattern, so the pattern is
+one check on the computed mus; the candidates are never listed: the search
+bisects on values and steps with a successor function.
 
 Exactness certification is conservative and conditional: critical exponents
 are rational, but no effective denominator bound is available, so
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ceil_fraction, floor_fraction, is_power_of
+from .arith import is_power_of
 from .errors import PreconditionError
 from .frobpower import rational_power
 from .ideal import Ideal, bracket_power, frob_power_int, ideal_contains
@@ -181,33 +184,18 @@ def crit_truncations(a: Ideal, b: Ideal, e_max: int) -> TruncationReport:
     )
 
 
-def _candidate_grid(
-    p: int, lo: Fraction, hi: Fraction, b_max: int, c_max: int
-) -> list[Fraction]:
-    """Rationals of shape k/(p^b (p^c - 1)) with b <= b_max, c <= c_max in (lo, hi]."""
+def _denominators(p: int, b_max: int, c_max: int) -> list[int]:
+    """The denominators p^b and p^b (p^c - 1) with b <= b_max, 1 <= c <= c_max."""
     dens: set[int] = set()
     for b in range(b_max + 1):
         dens.add(p**b)
         for c in range(1, c_max + 1):
             dens.add(p**b * (p**c - 1))
-    out: set[Fraction] = set()
-    for d in dens:
-        for k in range(floor_fraction(lo * d) + 1, floor_fraction(hi * d) + 1):
-            lam = Fraction(k, d)
-            if lo < lam <= hi:
-                out.add(lam)
-    return sorted(out)
+    return sorted(dens)
 
 
-def _mu_pattern_matches(lam: Fraction, report: TruncationReport) -> bool:
-    return all(
-        ceil_fraction(lam * q) - 1 == m
-        for q, m in zip(report.q_list, report.mu_list)
-    )
-
-
-def violates_forbidden_interval(lam: Fraction, p: int, e_cap: int) -> bool:
-    """Whether lam lies strictly inside some (k/q, k/(q-1)) with q = p^e <= p^e_cap."""
+def _forbidden_end(lam: Fraction, p: int, e_cap: int) -> Fraction | None:
+    """k/(q-1) when lam lies strictly inside (k/q, k/(q-1)) for some q = p^e <= p^e_cap."""
     for e in range(1, e_cap + 1):
         q = p**e
         scaled = lam * q
@@ -215,8 +203,30 @@ def violates_forbidden_interval(lam: Fraction, p: int, e_cap: int) -> bool:
             continue
         k = scaled.numerator // scaled.denominator
         if k >= 1 and lam * (q - 1) < k:
-            return True
-    return False
+            return Fraction(k, q - 1)
+    return None
+
+
+def violates_forbidden_interval(lam: Fraction, p: int, e_cap: int) -> bool:
+    """Whether lam lies strictly inside some (k/q, k/(q-1)) with q = p^e <= p^e_cap."""
+    return _forbidden_end(lam, p, e_cap) is not None
+
+
+def _next_candidate(
+    x: Fraction, dens: list[int], p: int, forbidden_cap: int = 0, strict: bool = True
+) -> Fraction:
+    """The smallest k/d > x (>= x unless strict) with d in dens that lies in no
+    forbidden interval (k/q, k/(q-1)) with q <= p^forbidden_cap."""
+    while True:
+        n, m = x.numerator, x.denominator
+        lam = min(
+            Fraction(n * d // m + 1 if strict else -(-n * d // m), d) for d in dens
+        )
+        end = _forbidden_end(lam, p, forbidden_cap) if forbidden_cap else None
+        if end is None:
+            return lam
+        # every k/d in (lam, end) is forbidden too; end itself is not
+        x, strict = end, False
 
 
 def _reconstruct(
@@ -230,35 +240,40 @@ def _reconstruct(
 ) -> TruncationReport:
     p = a.ring.p
     lo, hi = report.interval_low, report.interval_high
-    cands = [
-        lam
-        for lam in _candidate_grid(p, lo, hi, b_max, c_max)
-        if _mu_pattern_matches(lam, report)
-        and not (forbidden_cap and violates_forbidden_interval(lam, p, forbidden_cap))
-    ]
-    if not cands:
+    # Every lam in (lo, hi] predicts mu(q_j) = floor(mu_e / (q_e / q_j)) for the
+    # finest level e, so the computed mus either fit every candidate or none.
+    q_max, mu_max = report.q_list[-1], report.mu_list[-1]
+    if any(m != mu_max // (q_max // q) for q, m in zip(report.q_list, report.mu_list)):
         return report
+    dens = _denominators(p, b_max, c_max)
+
+    def after(x: Fraction, strict: bool = True) -> Fraction:
+        return _next_candidate(x, dens, p, forbidden_cap, strict)
+
     # a^{[t]} <= b is monotone in t, so the accepted candidates form a suffix.
-    first, last = 0, len(cands)
-    while first < last:
-        mid = (first + last) // 2
-        if ideal_contains(b, rational_power(a, cands[mid])):
-            last = mid
+    # Bisect on values: every candidate <= left is rejected, and the
+    # candidates still open lie in (left, top).  `best` is the smallest
+    # candidate known to be accepted.
+    left, top, best = lo, after(hi), None
+    while after(left) < top:
+        mid = (left + top) / 2
+        probe = after(mid, strict=False)  # the candidate nearest mid from above
+        if probe >= top:
+            top = mid  # the open candidates all lie below mid
+        elif ideal_contains(b, rational_power(a, probe)):
+            top = best = probe
         else:
-            first = mid + 1
-    if first == len(cands):
+            left = probe
+    if best is None:
         return report
-    candidate = cands[first]
-    certified = first == len(cands) - 1 and not ideal_contains(
-        b, rational_power(a, lo)
-    )
+    certified = after(best) > hi and not ideal_contains(b, rational_power(a, lo))
     return TruncationReport(
         q_list=report.q_list,
         mu_list=report.mu_list,
         mu_over_q=report.mu_over_q,
         interval_low=lo,
         interval_high=hi,
-        candidate=candidate,
+        candidate=best,
         certified_exact=certified,
     )
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from frobpow import Ideal, PolyRing
+from frobpow.arith import floor_fraction
 
 
 def ring2(p, order=None):
@@ -56,3 +57,23 @@ def sample_tame_fractions(rng: random.Random, p, count, max_den=30, max_order=4)
         if free == 1 or multiplicative_order(p, free) <= max_order:
             out.append(t)
     return out
+
+
+def candidate_grid(p, lo, hi, b_max, c_max):
+    """Sorted rationals k/(p^b (p^c - 1)) and k/p^b, b <= b_max, c <= c_max, in (lo, hi].
+
+    The materialized grid the critical-exponent search once walked; kept as
+    the reference for its successor function.
+    """
+    dens = set()
+    for b in range(b_max + 1):
+        dens.add(p**b)
+        for c in range(1, c_max + 1):
+            dens.add(p**b * (p**c - 1))
+    out = set()
+    for d in dens:
+        for k in range(floor_fraction(lo * d) + 1, floor_fraction(hi * d) + 1):
+            lam = Fraction(k, d)
+            if lo < lam <= hi:
+                out.add(lam)
+    return sorted(out)

@@ -247,3 +247,22 @@ def test_bracket_exponent_cap_is_the_same_on_both_paths():
     for a in (monomial, general):
         with pytest.raises(ExponentOverflowError):
             bracket_power(a, 3**40)
+
+
+def test_product_exponent_cap_is_the_same_on_both_paths():
+    # x^(2^61) squared fits below 2^63; x^(2^62) squared does not.  The
+    # redundant generator x^e + y forces the general path.
+    R = ring2(2)
+    for e, fits in ((2**61, True), (2**62, False)):
+        monomial = Ideal(R, [R.monomial((e, 0)), R.var("y")])
+        general = Ideal(R, [*monomial.gens, R.monomial((e, 0)) + R.var("y")])
+        assert monomial.is_monomial and not general.is_monomial
+        if fits:
+            assert ideal_power(monomial, 2) == ideal_power(general, 2)
+            assert ideal_product(monomial, monomial) == ideal_product(general, general)
+            continue
+        for a in (monomial, general):
+            with pytest.raises(ExponentOverflowError):
+                ideal_power(a, 2)
+            with pytest.raises(ExponentOverflowError):
+                ideal_product(a, a)

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from frobpow.cli import _ideal_result
 from frobpow.errors import PreconditionError
 from frobpow.groebner import groebner_basis, normal_form
 from frobpow.ideal import Ideal, frob_root
@@ -18,7 +20,7 @@ from frobpow.monomial import (
     newton_jump_candidates,
     newton_tau,
 )
-from frobpow.poly import PolyRing
+from frobpow.poly import MonomialOrder, PolyRing
 
 from helpers import maximal, mono, ring2
 
@@ -53,6 +55,54 @@ def test_minimalize_idempotent_and_antichain():
 def test_minimalize_three_variables():
     pts = [(1, 2, 3), (1, 2, 4), (0, 5, 0), (1, 1, 3), (2, 0, 0)]
     assert set(minimalize(pts)) == {(1, 1, 3), (0, 5, 0), (2, 0, 0)}
+
+
+exponent_lists = st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=8)
+)
+
+
+@given(exps=exponent_lists, seed=st.integers(0, 10**6))
+def test_shuffled_exponents_give_an_equal_ideal_and_hash(exps, seed):
+    R = PolyRing(3, ("x", "y", "z")[: len(exps[0])])
+    shuffled = list(exps)
+    random.Random(seed).shuffle(shuffled)
+    a, b = MonomialIdeal(R, exps), MonomialIdeal(R, shuffled)
+    assert a == b and hash(a) == hash(b)
+    assert a.gens == b.gens
+
+
+@given(
+    exps=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=10),
+    probes=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=10),
+)
+def test_staircase_bisection_matches_brute_force(exps, probes):
+    R = ring2(5)
+    a, b = MonomialIdeal(R, exps), MonomialIdeal(R, probes)
+
+    def divides(v, u):
+        return v[0] <= u[0] and v[1] <= u[1]
+
+    for u in probes:
+        assert mono_member(u, a) == any(divides(v, u) for v in exps)
+    assert mono_contains(a, b) == all(any(divides(v, u) for v in exps) for u in probes)
+
+
+ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elimination((1,))]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+@given(exps=exponent_lists)
+def test_generators_leave_the_engine_in_descending_ring_order(order, exps):
+    R = PolyRing(3, ("x", "y", "z")[: len(exps[0])], order)
+    a = MonomialIdeal(R, exps)
+    expect = sorted(a.gens, key=R.sort_key(), reverse=True)
+    assert [g.leading_exponent() for g in a.polynomials()] == expect
+    assert [g.leading_exponent() for g in Ideal.from_monomial(a).gens] == expect
+    names = [str(R.monomial(u)) for u in expect]
+    assert repr(a) == f"MonomialIdeal<{', '.join(names)}>"
+    # the CLI renders text and JSON from the same list
+    assert _ideal_result(Ideal.from_monomial(a)) == (", ".join(names), {"generators": names})
 
 
 def test_membership_matches_groebner_normal_form():

@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError
 from frobpow.ideal import Ideal, ideal_power, ideal_sum
 from frobpow.monomial import newton_fpt
 from frobpow.thresholds import (
+    TruncationReport,
+    _denominators,
+    _next_candidate,
+    _reconstruct,
     crit_reconstruct,
     crit_truncations,
     lce,
@@ -15,7 +20,7 @@ from frobpow.thresholds import (
     violates_forbidden_interval,
 )
 
-from helpers import ideal, maximal, ring2
+from helpers import candidate_grid, ideal, maximal, ring2
 
 
 def test_mu_examples():
@@ -230,3 +235,52 @@ def test_crit_reconstruct_general_ideal_p3():
     assert report.mu_list == (2, 8, 26)
     assert report.candidate == 1
     assert report.certified_exact
+
+
+@st.composite
+def search_intervals(draw):
+    """(p, b_max, c_max, lo, hi, forbidden_cap) with (lo, hi] = (k/p^e, (k+1)/p^e]."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    b_max = draw(st.integers(0, 3))
+    c_max = draw(st.integers(0, 3))
+    # e near b_max + c_max keeps the reference grid small at p = 7
+    e = draw(st.integers(max(1, b_max + c_max - 1), b_max + c_max + 1))
+    k = draw(st.integers(0, p**e - 1))
+    cap = draw(st.sampled_from([0, 1, 2, 3]))
+    return p, b_max, c_max, Fraction(k, p**e), Fraction(k + 1, p**e), cap
+
+
+@given(search_intervals())
+def test_successor_walk_matches_the_materialized_grid(case):
+    p, b_max, c_max, lo, hi, cap = case
+    expect = [
+        lam
+        for lam in candidate_grid(p, lo, hi, b_max, c_max)
+        if not (cap and violates_forbidden_interval(lam, p, cap))
+    ]
+    dens = _denominators(p, b_max, c_max)
+    walk = []
+    lam = _next_candidate(lo, dens, p, cap)
+    while lam <= hi:
+        walk.append(lam)
+        lam = _next_candidate(lam, dens, p, cap)
+    assert walk == expect
+    for lam in expect:
+        assert _next_candidate(lam, dens, p, cap, strict=False) == lam
+
+
+def test_report_breaking_the_floor_pattern_is_returned_unchanged():
+    # mu(27) = 26 forces mu(3) = 26 // 9 = 2; a report claiming 1 admits no
+    # candidate, so the search must not start.
+    R = ring2(3)
+    m = maximal(R)
+    report = TruncationReport(
+        q_list=(3, 9, 27),
+        mu_list=(1, 8, 26),
+        mu_over_q=(Fraction(1, 3), Fraction(8, 9), Fraction(26, 27)),
+        interval_low=Fraction(26, 27),
+        interval_high=Fraction(1),
+        candidate=None,
+        certified_exact=False,
+    )
+    assert _reconstruct(m, m, report, 4, 4) is report
