@@ -342,9 +342,7 @@ def frob_root_product(a: Ideal, b: Ideal, q: int) -> Ideal:
     if a.is_zero() or b.is_zero():
         return Ideal.zero(a.ring)
     if a.is_monomial and b.is_monomial:
-        return Ideal.from_monomial(
-            mono_root(mono_product(a.to_monomial(), b.to_monomial()), q)
-        )
+        return Ideal.from_monomial(mono_product(a.to_monomial(), b.to_monomial(), q))
     return _root_split(a.ring, (f * g for f in a.gens for g in b.gens), q)
 
 

@@ -10,16 +10,17 @@ order.  All operations here are pure exponent manipulation, which is what
 makes the monomial fast path of the Frobenius-power routines cheap.
 
 The Newton-polyhedron routines (`newton_tau`, `newton_fpt`) are the
-characteristic-independent test-ideal oracles.  In two variables the
-polyhedron is an exact staircase polygon; higher arity falls back to strict
-rational feasibility via Fourier-Motzkin elimination, guarded by a size cap.
+characteristic-independent test-ideal oracles.  In every arity they read one
+exact facet list of the polyhedron: a lower-hull sweep in two variables, an
+enumeration of facets through integer null vectors otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,8 +32,6 @@ from .errors import (
     ResourceCapError,
 )
 from .poly import Exponent, PolyRing, Polynomial, monomial_scale
-
-FM_CONSTRAINT_CAP = 20000
 
 
 def minimalize(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
@@ -156,12 +155,14 @@ def mono_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._build(a.ring, a.gens + b.gens)
 
 
-def mono_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Product ideal; raises ExponentOverflowError as the general path does.
+def mono_product(a: MonomialIdeal, b: MonomialIdeal, q: int = 1) -> MonomialIdeal:
+    """Product ideal, or with q > 1 its Frobenius root (ab)^{[1/q]}.
 
-    The general path multiplies every pair of generators, so it overflows
-    exactly when some coordinate's maxima over a and over b sum past
-    MAX_EXPONENT; that is tested before any product is formed.
+    The root floor-divides each pair sum by q and minimalizes once.  Raises
+    ExponentOverflowError as the general path does: that path multiplies
+    every pair of generators, so it overflows exactly when some coordinate's
+    maxima over a and over b sum past MAX_EXPONENT; that is tested before any
+    pair is formed.
     """
     if a.is_zero() or b.is_zero():
         return MonomialIdeal._build(a.ring, ())
@@ -175,10 +176,17 @@ def mono_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         )
     if max(top) > MAX_EXPONENT:
         raise ExponentOverflowError(f"product exponent exceeds 64-bit bound: {top}")
-    if a.ring.nvars == 2:
+    if a.ring.nvars != 2:
+        gens = [
+            tuple((x + y) // q for x, y in zip(u, v)) for u in a.gens for v in b.gens
+        ]
+    elif q == 1:
+        # the hot plain product: floor division by 1 costs ~10% of a mu probe
         gens = [(ux + vx, uy + vy) for ux, uy in a.gens for vx, vy in b.gens]
     else:
-        gens = [tuple(x + y for x, y in zip(u, v)) for u in a.gens for v in b.gens]
+        gens = [
+            ((ux + vx) // q, (uy + vy) // q) for ux, uy in a.gens for vx, vy in b.gens
+        ]
     return MonomialIdeal._build(a.ring, gens)
 
 
@@ -233,36 +241,20 @@ def mono_frob_power_int(a: MonomialIdeal, k: int) -> MonomialIdeal:
 
 # -- Newton polyhedron ---------------------------------------------------------
 #
-# N = conv(minimal generators) + nonnegative orthant.
+# N = conv(minimal generators) + nonnegative orthant, described by its facets:
+# integer pairs (alpha, c), alpha >= 0 and primitive, meaning alpha . w >= c.
+# The coordinate facets w_i >= min g_i are among them.
+
+FACET_SUBSET_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class _Polygon:
-    """Facet description of a 2-variable Newton polyhedron.
-
-    Membership: w in N iff w_i >= low_i and alpha . w >= c for every chain
-    facet; interiority replaces >= with >.
-    """
-
-    low: tuple[int, int]
-    facets: tuple[tuple[tuple[int, int], int], ...]  # ((alpha_x, alpha_y), c)
-
-    def member(self, w: Sequence[Fraction], scale: Fraction, strict: bool) -> bool:
-        cmp = (lambda x, y: x > y) if strict else (lambda x, y: x >= y)
-        for i in range(2):
-            if not cmp(w[i], scale * self.low[i]):
-                return False
-        for alpha, c in self.facets:
-            if not cmp(alpha[0] * w[0] + alpha[1] * w[1], scale * c):
-                return False
-        return True
-
-
-def _newton_polygon(a: MonomialIdeal) -> _Polygon:
+def _newton_facets(a: MonomialIdeal) -> tuple[tuple[Exponent, int], ...]:
+    """The facets of a's Newton polyhedron: w in N iff alpha . w >= c for all."""
+    if a.ring.nvars != 2:
+        return _enumerate_facets(a.gens, a.ring.nvars)
     pts = a.gens  # x ascending; antichain makes y strictly descending
-    low = (min(x for x, _ in pts), min(y for _, y in pts))
-    # Lower convex chain of the antichain (Andrew's monotone chain, lower hull).
-    hull: list[tuple[int, int]] = []
+    # Lower convex chain of the staircase (Andrew's monotone chain), O(m).
+    hull: list[Exponent] = []
     for pt in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -271,76 +263,100 @@ def _newton_polygon(a: MonomialIdeal) -> _Polygon:
             else:
                 break
         hull.append(pt)
-    facets = []
+    facets = [((1, 0), pts[0][0]), ((0, 1), pts[-1][1])]
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        alpha = (y1 - y2, x2 - x1)
+        g = math.gcd(y1 - y2, x2 - x1)
+        alpha = ((y1 - y2) // g, (x2 - x1) // g)
         facets.append((alpha, alpha[0] * x1 + alpha[1] * y1))
-    return _Polygon(low=low, facets=tuple(facets))
+    return tuple(facets)
 
 
-def _fourier_motzkin_feasible(
-    constraints: list[tuple[list[Fraction], Fraction, bool]], nvars: int
-) -> bool:
-    """Strict/loose feasibility of sum_i coeffs[i] x_i >= rhs (strict: >).
+def _enumerate_facets(
+    gens: Sequence[Exponent], n: int
+) -> tuple[tuple[Exponent, int], ...]:
+    """Facets of conv(gens) + orthant in n variables, by exact enumeration.
 
-    Eliminates variables one at a time; raises ResourceCapError when the
-    intermediate system grows past FM_CONSTRAINT_CAP.
+    The rows (g, 1) and (e_i, 0) generate the cone over N; its facets other
+    than the one at infinity (alpha = 0) are those of N.  Each is the null
+    vector (alpha, -c) of n independent rows on which every row is >= 0.
+    Raises ResourceCapError when the n-subsets of rows exceed FACET_SUBSET_CAP.
     """
-    system = constraints
-    for var in range(nvars):
-        upper, lower, rest = [], [], []
-        for coeffs, rhs, strict in system:
-            c = coeffs[var]
-            if c > 0:
-                lower.append((coeffs, rhs, strict))
-            elif c < 0:
-                upper.append((coeffs, rhs, strict))
-            else:
-                rest.append((coeffs, rhs, strict))
-        new_system = rest
-        for lc, lr, ls in lower:
-            for uc, ur, us in upper:
-                scale_l, scale_u = -uc[var], lc[var]
-                coeffs = [
-                    scale_l * lc[i] + scale_u * uc[i] for i in range(len(lc))
-                ]
-                new_system.append((coeffs, scale_l * lr + scale_u * ur, ls or us))
-        if len(new_system) > FM_CONSTRAINT_CAP:
-            raise ResourceCapError(
-                "Fourier-Motzkin system exceeded the constraint cap"
-            )
-        system = new_system
-    for coeffs, rhs, strict in system:
-        zero = Fraction(0)
-        if strict and not (zero > rhs):
-            return False
-        if not strict and not (zero >= rhs):
-            return False
-    return True
+    rows = [tuple(g) + (1,) for g in gens]
+    rows += [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+    count = math.comb(len(rows), n)
+    if count > FACET_SUBSET_CAP:
+        raise ResourceCapError(
+            f"Newton facet enumeration: {count} row subsets exceed "
+            f"FACET_SUBSET_CAP ({FACET_SUBSET_CAP})"
+        )
+    facets: list[tuple[Exponent, int]] = []
+    tight: list[int] = []  # bitmask of the rows on each facet found
+    for subset in itertools.combinations(range(len(rows)), n):
+        mask = sum(1 << i for i in subset)
+        if any(mask & t == mask for t in tight):
+            continue
+        v = _null_vector([rows[i] for i in subset])
+        if v is None or not any(v[:n]):
+            continue
+        values = [sum(map(operator.mul, v, r)) for r in rows]
+        if min(values) < 0:
+            if max(values) > 0:
+                continue
+            v = [-x for x in v]
+        facets.append((tuple(v[:n]), -v[n]))
+        tight.append(sum(1 << i for i, x in enumerate(values) if x == 0))
+    return tuple(facets)
 
 
-def _newton_member_fm(
-    a: MonomialIdeal, w: Sequence[Fraction], scale: Fraction, strict: bool
-) -> bool:
-    """w/scale in N (interior when strict), via convex-combination feasibility.
+def _null_vector(rows: list[Sequence[int]]) -> list[int] | None:
+    """The primitive integer vector spanning the null space of k rows of
+    length k + 1, or None when their rank is below k.
 
-    Feasibility of: lambda >= 0, sum lambda = 1, sum lambda_j g_j <= w/scale
-    (strict <).  Scale-cleared to keep everything in integers/fractions.
+    Fraction-free Gauss-Jordan elimination: each pivot row ends as
+    d * x_pivot + f * x_free = 0.
     """
-    m = len(a.gens)
-    n = a.ring.nvars
-    constraints: list[tuple[list[Fraction], Fraction, bool]] = []
-    for j in range(m):
-        unit = [Fraction(0)] * m
-        unit[j] = Fraction(1)
-        constraints.append((unit, Fraction(0), False))
-    ones = [Fraction(1)] * m
-    constraints.append((ones, Fraction(1), False))
-    constraints.append(([-c for c in ones], Fraction(-1), False))
-    for i in range(n):
-        coeffs = [-scale * Fraction(a.gens[j][i]) for j in range(m)]
-        constraints.append((coeffs, -Fraction(w[i]), strict))
-    return _fourier_motzkin_feasible(constraints, m)
+    mat = [list(r) for r in rows]
+    k = len(mat)
+    pivots: list[int] = []
+    for col in range(k + 1):
+        r = len(pivots)
+        i = next((i for i in range(r, k) if mat[i][col]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        top = mat[r]
+        for j, row in enumerate(mat):
+            if j != r and row[col]:
+                d, f = top[col], row[col]
+                mat[j] = [d * x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+        if len(pivots) == k:
+            break
+    if len(pivots) < k:
+        return None
+    free = next(c for c in range(k + 1) if c not in pivots)
+    scale = math.lcm(*(mat[r][c] for r, c in enumerate(pivots)))
+    v = [0] * (k + 1)
+    v[free] = scale
+    for r, c in enumerate(pivots):
+        v[c] = -mat[r][free] * scale // mat[r][c]
+    g = math.gcd(*v)
+    return [x // g for x in v]
+
+
+def _in_newton(
+    facets: Iterable[tuple[Exponent, int]],
+    w: Sequence[int | Fraction],
+    t: Fraction,
+    strict: bool,
+) -> bool:
+    """Whether w lies in t*N (in its interior when strict)."""
+    num, den = t.numerator, t.denominator
+    if strict:
+        return all(
+            den * sum(map(operator.mul, alpha, w)) > num * c for alpha, c in facets
+        )
+    return all(den * sum(map(operator.mul, alpha, w)) >= num * c for alpha, c in facets)
 
 
 def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
@@ -359,14 +375,7 @@ def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
 
     max_norm = max(sum(u) for u in a.gens)
     bound = ceil_fraction(t * max_norm) + n
-    polygon = _newton_polygon(a) if n == 2 else None
-
-    def interior(u: Exponent) -> bool:
-        w = [Fraction(e + 1) for e in u]
-        if polygon is not None:
-            return polygon.member(w, t, strict=True)
-        return _newton_member_fm(a, w, t, strict=True)
-
+    facets = _newton_facets(a)
     found: list[Exponent] = []
 
     def walk(prefix: list[int], remaining: int):
@@ -376,7 +385,7 @@ def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
                 u = tuple(prefix) + (e,)
                 if any(all(a_ <= b_ for a_, b_ in zip(v, u)) for v in found):
                     return
-                if interior(u):
+                if _in_newton(facets, [x + 1 for x in u], t, strict=True):
                     found.append(u)
                     return
             return
@@ -395,55 +404,7 @@ def newton_fpt(a: MonomialIdeal) -> Fraction:
     """
     if a.is_zero() or a.is_unit():
         raise PreconditionError("newton_fpt requires a nonzero proper ideal")
-    n = a.ring.nvars
-    if n == 2:
-        polygon = _newton_polygon(a)
-        s = max(
-            [Fraction(polygon.low[0]), Fraction(polygon.low[1])]
-            + [Fraction(c, alpha[0] + alpha[1]) for alpha, c in polygon.facets]
-        )
-        return 1 / s
-    # General arity: minimal s with s*(1,...,1) in N, through Fourier-Motzkin
-    # on (lambda, s); surviving constraints are exact rational bounds on s.
-    m = len(a.gens)
-    constraints: list[tuple[list[Fraction], Fraction, bool]] = []
-    for j in range(m):
-        unit = [Fraction(0)] * (m + 1)
-        unit[j] = Fraction(1)
-        constraints.append((unit, Fraction(0), False))
-    ones = [Fraction(1)] * m + [Fraction(0)]
-    constraints.append((ones, Fraction(1), False))
-    constraints.append(([-c for c in ones], Fraction(-1), False))
-    for i in range(a.ring.nvars):
-        coeffs = [-Fraction(a.gens[j][i]) for j in range(m)] + [Fraction(1)]
-        constraints.append((coeffs, Fraction(0), False))
-    system = constraints
-    for var in range(m):
-        upper, lower, rest = [], [], []
-        for coeffs, rhs, strict in system:
-            c = coeffs[var]
-            if c > 0:
-                lower.append((coeffs, rhs, strict))
-            elif c < 0:
-                upper.append((coeffs, rhs, strict))
-            else:
-                rest.append((coeffs, rhs, strict))
-        system = rest
-        for lc, lr, ls in lower:
-            for uc, ur, us in upper:
-                scale_l, scale_u = -uc[var], lc[var]
-                coeffs = [scale_l * lc[i] + scale_u * uc[i] for i in range(m + 1)]
-                system.append((coeffs, scale_l * lr + scale_u * ur, ls or us))
-        if len(system) > FM_CONSTRAINT_CAP:
-            raise ResourceCapError("Fourier-Motzkin system exceeded the constraint cap")
-    best: Fraction | None = None
-    for coeffs, rhs, _ in system:
-        c = coeffs[m]
-        if c > 0 and (best is None or rhs / c > best):
-            best = rhs / c
-    if best is None or best <= 0:
-        raise PreconditionError("degenerate Newton polyhedron")
-    return 1 / best
+    return 1 / max(Fraction(c, sum(alpha)) for alpha, c in _newton_facets(a))
 
 
 def newton_jump_candidates(a: MonomialIdeal, limit: Fraction) -> list[Fraction]:
@@ -454,17 +415,14 @@ def newton_jump_candidates(a: MonomialIdeal, limit: Fraction) -> list[Fraction]:
     """
     if a.ring.nvars != 2:
         raise PreconditionError("jump candidates implemented for two variables")
-    polygon = _newton_polygon(a)
+    facets = _newton_facets(a)
     max_norm = max(sum(u) for u in a.gens)
     bound = ceil_fraction(limit * max_norm) + 2
     out: set[Fraction] = set()
     for ux in range(bound + 1):
         for uy in range(bound + 1 - ux):
             w = (ux + 1, uy + 1)
-            for i in range(2):
-                if polygon.low[i]:
-                    out.add(Fraction(w[i], polygon.low[i]))
-            for alpha, c in polygon.facets:
+            for alpha, c in facets:
                 if c:
                     out.add(Fraction(alpha[0] * w[0] + alpha[1] * w[1], c))
     return sorted(x for x in out if 0 < x <= limit)

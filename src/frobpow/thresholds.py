@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_power_of
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceCapError
 from .frobpower import rational_power
 from .ideal import Ideal, bracket_power, frob_power_int, ideal_contains
 from .monomial import mono_member
@@ -80,16 +80,21 @@ def _in_radical(f: Polynomial, b: Ideal, cap: int = RADICAL_EXPONENT_CAP) -> boo
             return True
         w = normal_form(w * w, gb)
         e <<= 1
-    return False
+    raise ResourceCapError(
+        f"radical membership of {f} undetermined: no power up to exponent "
+        f"{e >> 1} reduces to zero (RADICAL_EXPONENT_CAP {cap})"
+    )
 
 
 def check_radical_containment(a: Ideal, b: Ideal, cap: int = RADICAL_EXPONENT_CAP):
-    """Verify a is contained in the radical of b; undetermined cases raise."""
+    """Verify a is contained in the radical of b.
+
+    Raises PreconditionError when a monomial b shows it is not, and
+    ResourceCapError when no power up to `cap` of a generator settles it.
+    """
     for g in a.gens:
         if not _in_radical(g, b, cap):
-            raise PreconditionError(
-                f"radical containment undetermined for generator {g} (cap {cap})"
-            )
+            raise PreconditionError(f"generator {g} is not in the radical of b")
 
 
 def _validate_pair(a: Ideal, b: Ideal, q: int):
@@ -139,7 +144,7 @@ def nu(f: Polynomial, b: Ideal, q: int) -> int:
         raise PreconditionError("nu requires a nonzero polynomial")
     _validate_pair(Ideal(f.ring, [f]), b, q)
     if not _in_radical(f, b):
-        raise PreconditionError("radical containment undetermined for nu")
+        raise PreconditionError("f is not in the radical of b")
     bq = bracket_power(b, q)
 
     def outside(k: int) -> bool:

@@ -77,3 +77,52 @@ def candidate_grid(p, lo, hi, b_max, c_max):
             if lo < lam <= hi:
                 out.add(lam)
     return sorted(out)
+
+
+def fourier_motzkin_feasible(constraints, nvars):
+    """Strict/loose feasibility of sum_i coeffs[i] x_i >= rhs (strict: >).
+
+    Eliminates variables one at a time.  The Newton oracles once decided
+    membership this way; kept as the reference for their facet list.
+    """
+    system = constraints
+    for var in range(nvars):
+        upper, lower, rest = [], [], []
+        for coeffs, rhs, strict in system:
+            c = coeffs[var]
+            if c > 0:
+                lower.append((coeffs, rhs, strict))
+            elif c < 0:
+                upper.append((coeffs, rhs, strict))
+            else:
+                rest.append((coeffs, rhs, strict))
+        new_system = rest
+        for lc, lr, ls in lower:
+            for uc, ur, us in upper:
+                scale_l, scale_u = -uc[var], lc[var]
+                coeffs = [scale_l * lc[i] + scale_u * uc[i] for i in range(len(lc))]
+                new_system.append((coeffs, scale_l * lr + scale_u * ur, ls or us))
+        system = new_system
+    zero = Fraction(0)
+    return all(zero > rhs if strict else zero >= rhs for _, rhs, strict in system)
+
+
+def newton_member_fm(a, w, scale, strict):
+    """w/scale in the Newton polyhedron of a (interior when strict).
+
+    Feasibility of: lambda >= 0, sum lambda = 1, sum lambda_j g_j <= w/scale
+    (strict <), by Fourier-Motzkin elimination.
+    """
+    m = len(a.gens)
+    constraints = []
+    for j in range(m):
+        unit = [Fraction(0)] * m
+        unit[j] = Fraction(1)
+        constraints.append((unit, Fraction(0), False))
+    ones = [Fraction(1)] * m
+    constraints.append((ones, Fraction(1), False))
+    constraints.append(([-c for c in ones], Fraction(-1), False))
+    for i in range(a.ring.nvars):
+        coeffs = [-scale * Fraction(a.gens[j][i]) for j in range(m)]
+        constraints.append((coeffs, -Fraction(w[i]), strict))
+    return fourier_motzkin_feasible(constraints, m)

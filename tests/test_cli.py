@@ -197,6 +197,11 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "3", str(path)])
     assert code == 4
     assert "resource" in err
+    # an undetermined radical check hits RADICAL_EXPONENT_CAP
+    path.write_text("p 3\nvars x y\nideal a = x\nideal b = y^2 + x*y\n")
+    code, _, err = run(capsys, ["mu", "--num", "a", "--den", "b", "--q", "9", str(path)])
+    assert code == 4
+    assert "RADICAL_EXPONENT_CAP" in err
 
 
 # -- structured output ---------------------------------------------------------------

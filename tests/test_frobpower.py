@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from frobpow.arith import ceil_fraction
-from frobpow.errors import PreconditionError
+from frobpow.errors import ExponentOverflowError, PreconditionError
 from frobpow.frobpower import (
     StepFunction,
     _general_power,
@@ -246,6 +246,18 @@ def test_root_of_product_matches_root_of_built_product():
         for b in corpus(R):
             for q in (1, 3, 9):
                 assert frob_root_product(a, b, q) == frob_root(ideal_product(a, b), q)
+    R3 = PolyRing(3, ("x", "y", "z"))
+    a, b = ideal(R3, "x^4*y", "y^3*z^2", "z^5", "x*y*z"), ideal(R3, "x^2*z", "y^4", "x*z^3")
+    for q in (1, 3, 9):
+        assert frob_root_product(a, b, q) == frob_root(ideal_product(a, b), q)
+    # x^(2^62) squared overflows on both routes, whatever the root q; the
+    # redundant generator x^e + y forces the general route.
+    monomial = Ideal(R, [R.monomial((2**62, 0)), R.var("y")])
+    general = Ideal(R, [*monomial.gens, R.monomial((2**62, 0)) + R.var("y")])
+    for c in (monomial, general):
+        for q in (1, 3):
+            with pytest.raises(ExponentOverflowError):
+                frob_root_product(c, c, q)
 
 
 @given(

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from frobpow import monomial
+from frobpow.arith import floor_fraction
 from frobpow.cli import _ideal_result
-from frobpow.errors import PreconditionError
+from frobpow.errors import PreconditionError, ResourceCapError
 from frobpow.groebner import groebner_basis, normal_form
 from frobpow.ideal import Ideal, frob_root
 from frobpow.monomial import (
@@ -14,7 +17,11 @@ from frobpow.monomial import (
     minimalize,
     mono_bracket,
     mono_contains,
+    _enumerate_facets,
+    _in_newton,
+    _newton_facets,
     mono_member,
+    mono_power,
     mono_root,
     newton_fpt,
     newton_jump_candidates,
@@ -22,7 +29,7 @@ from frobpow.monomial import (
 )
 from frobpow.poly import MonomialOrder, PolyRing
 
-from helpers import maximal, mono, ring2
+from helpers import maximal, mono, newton_member_fm, ring2
 
 
 def test_member_examples():
@@ -190,13 +197,13 @@ def test_tau_at_zero_is_unit():
 
 def _tau_brute_force(a, t, box):
     # independent check over a larger box, straight from the interior test
-    from frobpow.monomial import _newton_polygon
+    from frobpow.monomial import _in_newton, _newton_facets
 
-    polygon = _newton_polygon(a)
+    facets = _newton_facets(a)
     found = []
     for u in itertools.product(range(box), repeat=2):
         w = [Fraction(u[0] + 1), Fraction(u[1] + 1)]
-        if polygon.member(w, t, strict=True):
+        if _in_newton(facets, w, t, strict=True):
             found.append(u)
     return MonomialIdeal(a.ring, minimalize(found)) if found else MonomialIdeal(a.ring, [])
 
@@ -228,7 +235,7 @@ def test_fpt_examples():
 
 def test_fpt_diagonal_point_sits_on_boundary():
     # 1/fpt * (1,1) is in the polyhedron but not interior
-    from frobpow.monomial import _newton_polygon
+    from frobpow.monomial import _in_newton, _newton_facets
 
     rng = random.Random(9)
     R = ring2(3)
@@ -238,10 +245,10 @@ def test_fpt_diagonal_point_sits_on_boundary():
         if a.is_unit() or a.is_zero():
             continue
         lam = newton_fpt(a)
-        polygon = _newton_polygon(a)
+        facets = _newton_facets(a)
         s = Fraction(1) / lam
-        assert polygon.member((s, s), Fraction(1), strict=False)
-        assert not polygon.member((s, s), Fraction(1), strict=True)
+        assert _in_newton(facets, (s, s), Fraction(1), strict=False)
+        assert not _in_newton(facets, (s, s), Fraction(1), strict=True)
 
 
 def test_three_variable_paths_against_hand_formulas():
@@ -258,6 +265,68 @@ def test_three_variable_paths_against_hand_formulas():
 
         expect = mono_power(m, s) if s else MonomialIdeal(R, [(0, 0, 0)])
         assert got == expect, (t, s)
+    # <x,y,z>^3..^5 and <x,y,z,w>^3: fpt(m^k) = n/k, and tau((m^k)^t) = m^s
+    # with s = max(0, floor(k t - n) + 1)
+    for n, k in [(3, 3), (3, 4), (3, 5), (4, 3)]:
+        Rn = PolyRing(5, ("x", "y", "z", "w")[:n])
+        mn = MonomialIdeal(Rn, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        mk = mono_power(mn, k)
+        assert newton_fpt(mk) == Fraction(n, k)
+        for t in (Fraction(1, 2), Fraction(n + 1, k)):
+            s = max(0, floor_fraction(k * t - n) + 1)
+            expect = mono_power(mn, s) if s else MonomialIdeal(Rn, [(0,) * n])
+            assert newton_tau(mk, t) == expect, (n, k, t)
+
+
+def test_facet_enumeration_cap_fires_before_any_work(monkeypatch):
+    R = PolyRing(5, ("x", "y", "z", "w", "v"))
+    m6 = MonomialIdeal(R, [u for u in itertools.product(range(7), repeat=5) if sum(u) == 6])
+    monkeypatch.setattr(monomial, "_null_vector", None)  # enumerating would call it
+    subsets = math.comb(len(m6.gens) + 5, 5)
+    for oracle in (newton_fpt, lambda a: newton_tau(a, Fraction(1, 2))):
+        with pytest.raises(ResourceCapError) as exc:
+            oracle(m6)
+        assert "FACET_SUBSET_CAP (100000)" in str(exc.value)
+        assert str(subsets) in str(exc.value)
+
+
+three_variable_antichains = st.lists(
+    st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=4
+)
+small_fractions = st.fractions(0, 6, max_denominator=3)
+
+
+@given(
+    exps=three_variable_antichains,
+    points=st.lists(st.tuples(*[small_fractions] * 3), max_size=4),
+    t=st.fractions(Fraction(1, 3), 3, max_denominator=4),
+)
+def test_facet_membership_matches_fourier_motzkin(exps, points, t):
+    a = MonomialIdeal(PolyRing(3, ("x", "y", "z")), exps)
+    facets = _newton_facets(a)
+    # the scaled generators sit on the boundary of t*N or inside it
+    for w in points + [tuple(t * e for e in g) for g in a.gens]:
+        for strict in (True, False):
+            assert _in_newton(facets, w, t, strict) == newton_member_fm(a, w, t, strict)
+
+
+@given(exps=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8))
+def test_staircase_sweep_and_enumeration_give_the_same_facets(exps):
+    a = MonomialIdeal(ring2(5), exps)
+    assert set(_newton_facets(a)) == set(_enumerate_facets(a.gens, 2))
+
+
+@given(
+    exps=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=3),
+    k=st.integers(2, 3),
+    t=st.fractions(0, 1, max_denominator=4),
+)
+def test_newton_oracles_scale_with_ideal_powers(exps, k, t):
+    a = MonomialIdeal(PolyRing(3, ("x", "y", "z")), exps)
+    assume(not a.is_unit())
+    ak = mono_power(a, k)
+    assert newton_fpt(ak) == newton_fpt(a) / k
+    assert newton_tau(ak, t) == newton_tau(a, k * t)
 
 
 def test_tau_right_constant_between_jump_candidates():

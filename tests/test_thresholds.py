@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobpow.arith import ceil_fraction
-from frobpow.errors import PreconditionError
+from frobpow.errors import PreconditionError, ResourceCapError
 from frobpow.ideal import Ideal, ideal_power, ideal_sum
 from frobpow.monomial import newton_fpt
 from frobpow.thresholds import (
@@ -12,6 +12,7 @@ from frobpow.thresholds import (
     _denominators,
     _next_candidate,
     _reconstruct,
+    check_radical_containment,
     crit_reconstruct,
     crit_truncations,
     lce,
@@ -42,6 +43,22 @@ def test_mu_rejects_bad_inputs():
     with pytest.raises(PreconditionError):
         # x + 1 has no power inside <x, y>
         mu(ideal(R, "x+1"), m, 3)
+
+
+def test_undetermined_radical_containment_is_a_resource_cap():
+    # x is not in the radical of <y^2 + x*y>, which only the Groebner route
+    # could settle, so its check runs out at the exponent cap.
+    R = ring2(3)
+    a, b = ideal(R, "x"), ideal(R, "y^2+x*y")
+    for call in (
+        lambda: check_radical_containment(a, b),
+        lambda: mu(a, b, 9),
+        lambda: nu(R.var("x"), b, 9),
+    ):
+        with pytest.raises(ResourceCapError) as exc:
+            call()
+        assert "RADICAL_EXPONENT_CAP 1024" in str(exc.value)
+        assert "exponent 1024" in str(exc.value)
 
 
 def test_nu_examples():
