@@ -1,10 +1,12 @@
 """Rational Frobenius powers a^{[t]} and step-function scans over [0,1).
 
-The p-rational case composes an integral Frobenius power with a Frobenius
-root.  General rational t runs the stabilization loop on the p-adic data
-t = k/(p^b (p^c - 1)): starting from the root of a^{[r+1]}, repeatedly take
+The p-rational case is a^{[k/q]} = (a^{[k]})^{[1/q]}.  General rational t
+runs the stabilization loop on the p-adic data t = k/(p^b (p^c - 1)):
+starting from the root of a^{[r+1]}, repeatedly take
 (a^{[r]} * current)^{[1/p^c]}; the iterates ascend, so they stabilize, and
-the answer is (a^{[l]} * limit)^{[1/p^b]}.
+the answer is (a^{[l]} * limit)^{[1/p^b]}.  Every one of these is a single
+``frob_power_int(a, k, q, seed)`` call, which on monomial ideals takes the
+root digit by digit and never builds a^{[k]}.
 
 Only rational exponents are accepted: exposing irrational t would require an
 effective right-constancy radius that is not available.
@@ -17,23 +19,20 @@ from fractions import Fraction
 
 from .arith import p_adic_decompose
 from .errors import PreconditionError, ResourceCapError
-from .ideal import (
-    Ideal,
-    compact,
-    frob_power_int,
-    frob_root,
-    frob_root_product,
-    ideal_contains,
-)
+from .ideal import Ideal, compact, frob_power_int, ideal_contains
 
 ITERATION_CAP = 64
 
 
 def p_rational_power(a: Ideal, k: int, q: int) -> Ideal:
-    """a^{[k/q]} = (a^{[k]})^{[1/q]}; independent of the representation of k/q."""
+    """a^{[k/q]} = (a^{[k]})^{[1/q]}; independent of the representation of k/q.
+
+    On monomial ideals the root is taken digit by digit, so a^{[k]} is never
+    built (see :func:`frobpow.ideal.frob_power_int`).
+    """
     if k < 0:
         raise PreconditionError("p_rational_power requires k >= 0")
-    return frob_root(frob_power_int(a, k), q)
+    return frob_power_int(a, k, q)
 
 
 def rational_power(a: Ideal, t: Fraction | int, iteration_cap: int = ITERATION_CAP) -> Ideal:
@@ -64,10 +63,9 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int 
     if not 0 <= r < qc - 1:
         # r = p^c - 1 would break the digit-disjointness behind the recursion
         raise PreconditionError("division data out of range: need 0 <= r < p^c - 1")
-    a_r = compact(frob_power_int(a, r))
-    current = compact(frob_root(frob_power_int(a, r + 1), qc))
+    current = compact(frob_power_int(a, r + 1, qc))
     for _ in range(iteration_cap):
-        nxt = compact(frob_root_product(a_r, current, qc))
+        nxt = compact(frob_power_int(a, r, qc, current))
         if ideal_contains(current, nxt):
             break
         current = nxt
@@ -75,7 +73,7 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int 
         raise ResourceCapError(
             "rational_power iteration cap exceeded; this signals a bug, not a math failure"
         )
-    return frob_root_product(frob_power_int(a, l), current, p**b)
+    return frob_power_int(a, l, p**b, current)
 
 
 def skoda_split(a: Ideal, t: Fraction | int) -> tuple[Ideal, Ideal]:

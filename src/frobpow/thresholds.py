@@ -1,8 +1,10 @@
 """Critical Frobenius exponents: mu/nu sequences, truncations, reconstruction.
 
-mu(q) is the largest k with a^{[k]} not inside b^{[q]}; the truncations
-mu(q)/q increase to the critical exponent, and mu(q) = ceil(q*crit) - 1 pins
-crit inside (mu(q)/q, (mu(q)+1)/q].  Reconstruction searches that interval
+mu(q) is the largest k with a^{[k]} not inside b^{[q]}, equivalently with
+a^{[k/q]} not inside b; on monomial ideals the search tests the second form,
+so it never builds a^{[k]}.  The truncations mu(q)/q increase to the
+critical exponent, and mu(q) = ceil(q*crit) - 1 pins crit inside
+(mu(q)/q, (mu(q)+1)/q].  Reconstruction searches that interval
 for rationals of the shape k/(p^b (p^c - 1)) with user-capped b, c, accepts a
 candidate when its predicted mu-pattern matches every computed value and its
 Frobenius power lands inside b, and reports the smallest accepted candidate.
@@ -108,16 +110,25 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
     """max{k : a^{[k]} not contained in b^{[q]}}.
 
     Exponential bracketing from a known-outside seed, then binary search;
-    monotonicity of k -> a^{[k]} makes the predicate monotone.
+    monotonicity of k -> a^{[k]} makes the predicate monotone.  For a
+    monomial a each probe tests a^{[k/q]} inside b instead, which is the same
+    question (I is inside J^{[q]} iff I^{[1/q]} is inside J) and never forms
+    a^{[k]}; other ideals test a^{[k]} against b^{[q]}.
     """
     if not _skip_checks:
         _validate_pair(a, b, q)
         check_radical_containment(a, b)
     p = a.ring.p
-    bq = bracket_power(b, q)
+    if a.is_monomial:
 
-    def outside(k: int) -> bool:
-        return not ideal_contains(bq, frob_power_int(a, k))
+        def outside(k: int) -> bool:
+            return not ideal_contains(b, frob_power_int(a, k, q))
+
+    else:
+        bq = bracket_power(b, q)
+
+        def outside(k: int) -> bool:
+            return not ideal_contains(bq, frob_power_int(a, k))
 
     lo = _seed
     if not outside(lo):

@@ -202,6 +202,11 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["mu", "--num", "a", "--den", "b", "--q", "9", str(path)])
     assert code == 4
     assert "RADICAL_EXPONENT_CAP" in err
+    # the Newton test ideal's lattice walk is capped too
+    path.write_text("p 3\nvars x y\nideal a = x^2, y^3\n")
+    code, _, err = run(capsys, ["tau-monomial", "--ideal", "a", "--t", "200", str(path)])
+    assert code == 4
+    assert "NEWTON_POINT_CAP" in err
 
 
 # -- structured output ---------------------------------------------------------------

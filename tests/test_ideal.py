@@ -1,21 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from frobpow.arith import adds_without_carrying
-from frobpow.errors import ExponentOverflowError, ResourceCapError
+from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from frobpow.ideal import (
     Ideal,
     bracket_power,
     frob_power_int,
     frob_power_int_gens,
     frob_root,
+    frob_root_product,
     ideal_contains,
     ideal_power,
     ideal_product,
     ideal_sum,
 )
 from frobpow.monomial import MonomialIdeal, mono_contains
+from frobpow.poly import PolyRing
+from frobpow.thresholds import mu
 
 from helpers import ideal, maximal, random_poly, ring2
 
@@ -266,3 +270,121 @@ def test_product_exponent_cap_is_the_same_on_both_paths():
                 ideal_power(a, 2)
             with pytest.raises(ExponentOverflowError):
                 ideal_product(a, a)
+
+
+# -- rooted Frobenius powers (seed * a^{[k]})^{[1/q]} -------------------------------
+
+
+@st.composite
+def rooted_power_cases(draw):
+    """(ring, a, seed or None, k, q): small antichains in 2 or 3 variables,
+    the zero and unit ideals among them, and k with up to 4 base-p digits."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolyRing(p, ("x", "y", "z")[:n])
+
+    def antichain():
+        kind = draw(st.sampled_from(["gens", "gens", "gens", "zero", "unit"]))
+        if kind == "zero":
+            return MonomialIdeal(R, ())
+        if kind == "unit":
+            return MonomialIdeal(R, [(0,) * n])
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        return MonomialIdeal(R, draw(st.lists(exps, min_size=1, max_size=3)))
+
+    a = antichain()
+    seed = antichain() if draw(st.booleans()) else None
+    digits = draw(st.lists(st.integers(0, p - 1), max_size=4))
+    k = sum(d * p**i for i, d in enumerate(digits))
+    q = p ** draw(st.integers(0, 3))
+    return R, a, seed, k, q
+
+
+def _forced_general(R, am, shifts):
+    """The ideal of a nonzero antichain plus the redundant binomial x^u + x^v,
+    u and v multiples of its first and last generators: the Groebner route."""
+    u = tuple(e + s for e, s in zip(am.gens[0], shifts))
+    v = tuple(e + s for e, s in zip(am.gens[-1], shifts[::-1]))
+    if u == v:
+        v = tuple(e + 1 for e in v)
+    general = Ideal(R, [*Ideal.from_monomial(am).gens, R.monomial(u) + R.monomial(v)])
+    assert not general.is_monomial
+    return general
+
+
+@given(case=rooted_power_cases(), shifts=st.tuples(*[st.integers(0, 2)] * 3))
+def test_rooted_power_matches_built_power_and_groebner_route(case, shifts):
+    R, am, sm, k, q = case
+    a = Ideal.from_monomial(am)
+    seed = None if sm is None else Ideal.from_monomial(sm)
+    got = frob_power_int(a, k, q, seed)
+    assert got.is_monomial
+    built = frob_power_int(a, k)
+    want = frob_root(built, q) if seed is None else frob_root_product(built, seed, q)
+    assert got == want
+    n, p = R.nvars, R.p
+    # The Groebner route builds a^{[k]}; with a redundant binomial that takes
+    # over 20 s from three digits on (two in three variables at p = 5).
+    small_k = k < p ** (1 if n == 3 and p == 5 else 2)
+    if am.is_zero() or (sm is not None and sm.is_zero()) or not small_k:
+        return
+    general = _forced_general(R, am, shifts[:n])
+    general_seed = None if sm is None else _forced_general(R, sm, shifts[-n:])
+    assert frob_power_int(general, k, q, general_seed) == got
+
+
+def test_rooted_power_edge_cases():
+    R = ring2(3)
+    zero, unit, m = Ideal.zero(R), Ideal.unit(R), maximal(R)
+    for q in (1, 3, 27):
+        assert frob_power_int(zero, 0, q) == unit
+        assert frob_power_int(zero, 5, q).is_zero()
+        assert frob_power_int(m, 0, q, zero).is_zero()
+        assert frob_power_int(unit, 7, q, m) == frob_root(m, q)
+        assert frob_power_int(m, 0, q, m) == frob_root(m, q)
+    # m^{[k/9]} is the unit ideal for k < 9 and m at k = 9
+    assert frob_power_int(m, 8, 9) == unit
+    assert frob_power_int(m, 9, 9) == m
+    with pytest.raises(PreconditionError):
+        frob_power_int(m, 3, 6)
+    with pytest.raises(PreconditionError):
+        frob_power_int(m, -1, 3)
+
+
+def test_mu_probes_never_build_the_full_power(monkeypatch):
+    # mu(<x,y>^5, <x,y>, 11^5) = 64420: building a^{[k]} for such k forms
+    # staircases of up to 327,681 generators; rooting digit by digit keeps
+    # every product small.
+    import frobpow.ideal
+    import frobpow.monomial
+
+    largest = [0]
+    product = frobpow.monomial.mono_product
+
+    def watched(a, b, q=1):
+        out = product(a, b, q)
+        largest[0] = max(largest[0], len(out.gens))
+        return out
+
+    monkeypatch.setattr(frobpow.monomial, "mono_product", watched)
+    monkeypatch.setattr(frobpow.ideal, "mono_product", watched)
+    R = ring2(11)
+    m = maximal(R)
+    assert mu(ideal_power(m, 5), m, 11**5) == 64420
+    assert 0 < largest[0] <= 1000
+
+
+def test_rooted_power_skips_the_overflowing_full_power():
+    # a^{[2^23]} has x^(2^63), past the 64-bit bound, but its 2^23-th root is
+    # a again: the monomial route never forms the power, the Groebner route
+    # (forced by the redundant x^(2^40) + y) still does, and q = 1 overflows
+    # on both.
+    R = ring2(2)
+    monomial = Ideal(R, [R.monomial((2**40, 0)), R.var("y")])
+    general = Ideal(R, [*monomial.gens, R.monomial((2**40, 0)) + R.var("y")])
+    assert frob_power_int(monomial, 2**23, 2**23) == monomial
+    with pytest.raises(ExponentOverflowError):
+        frob_power_int(general, 2**23, 2**23)
+    for a in (monomial, general):
+        with pytest.raises(ExponentOverflowError):
+            frob_power_int(a, 2**23)

@@ -290,6 +290,19 @@ def test_facet_enumeration_cap_fires_before_any_work(monkeypatch):
         assert str(subsets) in str(exc.value)
 
 
+def test_newton_tau_walk_cap_fires_before_any_work(monkeypatch):
+    # On <x^2, y^3> the walk reaches t = 200 after about 16 s without the cap.
+    R = PolyRing(3, ("x", "y"))
+    a = MonomialIdeal(R, [(2, 0), (0, 3)])
+    points = math.comb(3 * 200 + 2 + 2, 2)
+    assert points > monomial.NEWTON_POINT_CAP
+    monkeypatch.setattr(monomial, "_in_newton", None)  # walking would call it
+    with pytest.raises(ResourceCapError) as exc:
+        newton_tau(a, 200)
+    assert f"NEWTON_POINT_CAP ({monomial.NEWTON_POINT_CAP})" in str(exc.value)
+    assert str(points) in str(exc.value)
+
+
 three_variable_antichains = st.lists(
     st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=4
 )

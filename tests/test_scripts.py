@@ -29,15 +29,55 @@ p = 3, grid resolution 1/81
     t >= 4/5: x^3, x^2*y, x*y^2, y^3
 """
 
+# Output of `scripts/lce_survey.py 5`.
+LCE_SURVEY_5 = """\
+<x,y>^5
+  p =  2:  lce =       3/8  (certified)
+  p =  3:  lce =       1/3  (certified)
+  p =  5:  lce =       2/5  (certified)
+  p =  7:  lce =   137/343  (certified)
+  p = 11:  lce =       2/5  (certified)
+  fpt (all p): 2/5
+<x,y>^7
+  p =  2:  lce =       1/4  (certified)
+  p =  3:  lce =     23/81  (certified)
+  p =  5:  lce =      7/25  (certified)
+  p =  7:  lce =       2/7  (certified)
+  p = 11:  lce =      3/11  (certified)
+  fpt (all p): 2/7
+<x^2, y^3>
+  p =  2:  lce =       1/2  (certified)
+  p =  3:  lce =       2/3  (certified)
+  p =  5:  lce =       4/5  (certified)
+  p =  7:  lce =       5/6  (certified)
+  p = 11:  lce =      9/11  (certified)
+  fpt (all p): 5/6
+<x^5, y^5>
+  p =  2:  lce =       1/4  (certified)
+  p =  3:  lce =       1/3  (certified)
+  p =  5:  lce =       1/5  (certified)
+  p =  7:  lce =     19/49  (certified)
+  p = 11:  lce =       2/5  (certified)
+  fpt (all p): 2/5
+"""
 
-def test_closure_comparison_output_is_unchanged():
+
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "closure_comparison.py"), "3", "4"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == CLOSURE_COMPARISON_3_4
+    return done.stdout
+
+
+def test_closure_comparison_output_is_unchanged():
+    assert run_script("closure_comparison.py", "3", "4") == CLOSURE_COMPARISON_3_4
+
+
+def test_lce_survey_output_is_unchanged():
+    assert run_script("lce_survey.py", "5") == LCE_SURVEY_5
