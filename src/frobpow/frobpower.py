@@ -5,8 +5,8 @@ runs the stabilization loop on the p-adic data t = k/(p^b (p^c - 1)):
 starting from the root of a^{[r+1]}, repeatedly take
 (a^{[r]} * current)^{[1/p^c]}; the iterates ascend, so they stabilize, and
 the answer is (a^{[l]} * limit)^{[1/p^b]}.  Every one of these is a single
-``frob_power_int(a, k, q, seed)`` call, which on monomial ideals takes the
-root digit by digit and never builds a^{[k]}.
+``frob_power_int(a, k, q, seed)`` call, which takes the root digit by digit
+and never builds a^{[k]}.
 
 Only rational exponents are accepted: exposing irrational t would require an
 effective right-constancy radius that is not available.
@@ -27,8 +27,8 @@ ITERATION_CAP = 64
 def p_rational_power(a: Ideal, k: int, q: int) -> Ideal:
     """a^{[k/q]} = (a^{[k]})^{[1/q]}; independent of the representation of k/q.
 
-    On monomial ideals the root is taken digit by digit, so a^{[k]} is never
-    built (see :func:`frobpow.ideal.frob_power_int`).
+    The root is taken digit by digit, so a^{[k]} is never built (see
+    :func:`frobpow.ideal.frob_power_int`).
     """
     if k < 0:
         raise PreconditionError("p_rational_power requires k >= 0")

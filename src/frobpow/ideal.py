@@ -25,7 +25,6 @@ from .monomial import (
     MonomialIdeal,
     mono_bracket,
     mono_contains,
-    mono_frob_power_int,
     mono_power,
     mono_product,
     mono_root,
@@ -258,44 +257,43 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     """(seed * a^{[k]})^{[1/q]}, q a power of p; no seed means the unit ideal.
 
     With q = 1 and no seed this is the integral Frobenius power a^{[k]}, the
-    product of the (a^d)^{[p^i]} over the base-p digits d of k.  Monomial
-    inputs root the low digits of k one at a time and never form a^{[k]}
-    (see :func:`frobpow.monomial.mono_frob_power_int`); other inputs build
-    a^{[k]} and then take one root of its product with the seed.
+    product of the (a^d)^{[p^i]} over the base-p digits d of k.  For
+    q = p^e the projection formula (I^{[p]} J)^{[1/p]} = I J^{[1/p]} roots
+    the e low digits d_i of k in Horner form, R <- (R a^{d_i})^{[1/p]}, so
+    a^{[k]} is never built and no intermediate ideal is larger than a root;
+    R is then multiplied by a^{[k // q]}.  Each a^d (d < p) is computed once
+    per call.  Monomial inputs reach the antichain kernel through the
+    dispatching operations, where each step is one fused product-and-root.
     """
     if k < 0:
         raise PreconditionError("negative Frobenius power")
     _check_q(a.ring, q)
     if seed is not None:
         _same_ring(a, seed)
-    if a.is_monomial and (seed is None or seed.is_monomial):
-        return Ideal.from_monomial(
-            mono_frob_power_int(
-                a.to_monomial(), k, q, None if seed is None else seed.to_monomial()
-            )
-        )
-    # Other inputs build a^{[k]} and root it once.  Rooting digit by digit
-    # would pay here too (mu(a2, m, 125) at p = 5, perfbench's general ideal:
-    # 2.06 s built, 0.02 s rooted, Python 3.11 on a Xeon core), but the
-    # benchmark's budget self-test needs mu(a2, m, 625) to run past its
-    # budget (over 90 s built, 0.03 s rooted): the port waits for that test
-    # to pick another slow call.
-    if k == 0:
-        power = Ideal.unit(a.ring)
-    elif len(a.gens) == 1:
-        # Principal ideals: Frobenius powers are plain powers.
-        power = Ideal(a.ring, [a.gens[0] ** k])
-    else:
-        p = a.ring.p
-        power = Ideal.unit(a.ring)
-        for i, d in enumerate(base_p_digits(k, p)):
-            if d:
-                power = compact(
-                    ideal_product(power, bracket_power(ideal_power(a, d), p**i))
-                )
-    if seed is None:
-        return frob_root(power, q)
-    return frob_root_product(power, seed, q)
+    p = a.ring.p
+    powers: dict[int, Ideal] = {}
+
+    def power(d: int) -> Ideal:
+        if d not in powers:
+            powers[d] = ideal_power(a, d)
+        return powers[d]
+
+    result = seed
+    high = k
+    while q > 1:
+        high, d = divmod(high, p)
+        q //= p
+        if d and result is None:
+            result = compact(frob_root(power(d), p))
+        elif d:
+            result = compact(frob_root_product(result, power(d), p))
+        elif result is not None:
+            result = compact(frob_root(result, p))
+    for i, d in enumerate(base_p_digits(high, p)):
+        if d:
+            term = bracket_power(power(d), p**i)
+            result = term if result is None else compact(ideal_product(result, term))
+    return Ideal.unit(a.ring) if result is None else result
 
 
 def frob_power_int_gens(a: Ideal, k: int, cap: int = COMPOSITION_CAP) -> Ideal:

@@ -206,7 +206,7 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     path.write_text("p 3\nvars x y\nideal a = x^2, y^3\n")
     code, _, err = run(capsys, ["tau-monomial", "--ideal", "a", "--t", "200", str(path)])
     assert code == 4
-    assert "NEWTON_POINT_CAP" in err
+    assert "NEWTON_WALK_CAP" in err
 
 
 # -- structured output ---------------------------------------------------------------

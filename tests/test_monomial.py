@@ -291,16 +291,19 @@ def test_facet_enumeration_cap_fires_before_any_work(monkeypatch):
 
 
 def test_newton_tau_walk_cap_fires_before_any_work(monkeypatch):
-    # On <x^2, y^3> the walk reaches t = 200 after about 16 s without the cap.
+    # On <x^2, y^3> the walk reaches t = 200 after about 16 s without the
+    # cap; t = 100 (about 2 s) stays below it.
     R = PolyRing(3, ("x", "y"))
     a = MonomialIdeal(R, [(2, 0), (0, 3)])
-    points = math.comb(3 * 200 + 2 + 2, 2)
-    assert points > monomial.NEWTON_POINT_CAP
+    bound = 3 * 200 + 2
+    checks = math.comb(bound + 2, 2) * (bound + 1)
+    assert checks > monomial.NEWTON_WALK_CAP
+    assert math.comb(3 * 100 + 4, 2) * (3 * 100 + 3) < monomial.NEWTON_WALK_CAP
     monkeypatch.setattr(monomial, "_in_newton", None)  # walking would call it
     with pytest.raises(ResourceCapError) as exc:
         newton_tau(a, 200)
-    assert f"NEWTON_POINT_CAP ({monomial.NEWTON_POINT_CAP})" in str(exc.value)
-    assert str(points) in str(exc.value)
+    assert f"NEWTON_WALK_CAP ({monomial.NEWTON_WALK_CAP})" in str(exc.value)
+    assert str(checks) in str(exc.value)
 
 
 three_variable_antichains = st.lists(
