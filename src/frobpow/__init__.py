@@ -33,7 +33,7 @@ from .ideal import (
     ideal_sum,
 )
 from .monomial import MonomialIdeal, mono_member, mono_root, newton_fpt, newton_tau
-from .poly import FieldElement, MonomialOrder, Polynomial, PolyRing, parse_polynomial, poly_canonicalize
+from .poly import MonomialOrder, Polynomial, PolyRing, parse_polynomial, poly_canonicalize
 from .thresholds import TruncationReport, crit_reconstruct, crit_truncations, lce, mu, nu
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "eliminate",
     "ExponentOverflowError",
     "ExtendedRingContext",
-    "FieldElement",
     "frob_power_int",
     "frob_power_int_gens",
     "frob_root",

@@ -57,14 +57,6 @@ def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def digits_to_int(digits: Sequence[int], p: int) -> int:
-    """Inverse of :func:`base_p_digits`."""
-    n = 0
-    for d in reversed(digits):
-        n = n * p + d
-    return n
-
-
 def adds_without_carrying(ks: Iterable[int], p: int) -> bool:
     """Whether the base-p additions of the given integers never carry.
 
@@ -159,8 +151,3 @@ def p_adic_decompose(t: Fraction | int, p: int) -> PadicDecomposition:
 def ceil_fraction(x: Fraction) -> int:
     """Exact ceiling of a rational."""
     return -((-x.numerator) // x.denominator)
-
-
-def floor_fraction(x: Fraction) -> int:
-    """Exact floor of a rational."""
-    return x.numerator // x.denominator

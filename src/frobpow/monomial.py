@@ -18,7 +18,10 @@ can hold hundreds of thousands of generators when the root holds a few dozen.
 The Newton-polyhedron routines (`newton_tau`, `newton_fpt`) are the
 characteristic-independent test-ideal oracles.  In every arity they read one
 exact facet list of the polyhedron: a lower-hull sweep in two variables, an
-enumeration of facets through integer null vectors otherwise.
+enumeration of facets through integer null vectors otherwise.  `newton_tau`
+is Howald's formula in closed form: each prefix of n - 1 coordinates gets
+its smallest admissible last coordinate from the facets, and one
+`minimalize` keeps the generators.
 """
 
 from __future__ import annotations
@@ -241,12 +244,12 @@ def mono_root(a: MonomialIdeal, q: int) -> MonomialIdeal:
 # The coordinate facets w_i >= min g_i are among them.
 
 FACET_SUBSET_CAP = 10**5
-# newton_tau walks the comb(bound + n, n) points u >= 0 with |u| <= bound and
-# checks each against the generators found so far, at most one per prefix
-# (the first n - 1 coordinates), of which there are comb(bound + n - 1, n - 1).
-# Their product bounds the dominance checks in every arity; each costs
-# 0.14-0.57 us (Python 3.11, one Xeon core), so the cap stops a walk at
-# about 11 s.  <x^2, y^3> at t = 100 counts 1.4 * 10^7 (2.4 s).
+# newton_tau visits the comb(bound + n - 1, n - 1) prefixes (the first n - 1
+# coordinates of u, |u| <= bound), testing each against every facet, and
+# minimalizes one point per prefix: quadratic in the prefixes in three or
+# more variables.  It is priced as prefixes * (prefixes + facets); a unit
+# costs 0.27-0.57 us (Python 3.11, one Xeon core), so the cap stops a call
+# at about 11 s.  <x,y,z> at t = 90 counts 1.995 * 10^7 (7-11 s).
 NEWTON_WALK_CAP = 2 * 10**7
 
 
@@ -346,25 +349,13 @@ def _null_vector(rows: list[Sequence[int]]) -> list[int] | None:
     return [x // g for x in v]
 
 
-def _in_newton(
-    facets: Iterable[tuple[Exponent, int]],
-    w: Sequence[int | Fraction],
-    t: Fraction,
-    strict: bool,
-) -> bool:
-    """Whether w lies in t*N (in its interior when strict)."""
-    num, den = t.numerator, t.denominator
-    if strict:
-        return all(
-            den * sum(map(operator.mul, alpha, w)) > num * c for alpha, c in facets
-        )
-    return all(den * sum(map(operator.mul, alpha, w)) >= num * c for alpha, c in facets)
-
-
 def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
     """Monomial test ideal: generated by x^u with u + 1 interior to t*N.
 
-    Raises ResourceCapError when the walk's dominance checks could pass
+    Howald's formula, one prefix u' (the first n - 1 coordinates) at a time:
+    the facets with alpha_n > 0 give the smallest admissible last coordinate
+    in closed form, and those with alpha_n = 0 must hold for u' + 1 alone.
+    Raises ResourceCapError when prefixes * (prefixes + facets) passes
     NEWTON_WALK_CAP.
     """
     t = Fraction(t)
@@ -379,35 +370,35 @@ def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
     if t == 0 or a.is_unit():
         return MonomialIdeal(ring, ((0,) * n,))
 
-    max_norm = max(sum(u) for u in a.gens)
-    bound = ceil_fraction(t * max_norm) + n
-    points = math.comb(bound + n, n)
+    bound = ceil_fraction(t * max(sum(u) for u in a.gens)) + n
+    facets = _newton_facets(a)
     prefixes = math.comb(bound + n - 1, n - 1)
-    if points * prefixes > NEWTON_WALK_CAP:
+    price = prefixes * (prefixes + len(facets))
+    if price > NEWTON_WALK_CAP:
         raise ResourceCapError(
-            f"newton_tau walk: {points} lattice points times {prefixes} possible "
-            f"generators = {points * prefixes} dominance checks exceed "
+            f"newton_tau: {prefixes} prefixes times {prefixes + len(facets)} "
+            f"(prefixes plus facets) = {price} exceed "
             f"NEWTON_WALK_CAP ({NEWTON_WALK_CAP})"
         )
-    facets = _newton_facets(a)
-    found: list[Exponent] = []
-
-    def walk(prefix: list[int], remaining: int):
-        if len(prefix) == n - 1:
-            # Smallest admissible last coordinate: generators above it are redundant.
-            for e in range(remaining + 1):
-                u = tuple(prefix) + (e,)
-                if any(all(a_ <= b_ for a_, b_ in zip(v, u)) for v in found):
-                    return
-                if _in_newton(facets, [x + 1 for x in u], t, strict=True):
-                    found.append(u)
-                    return
-            return
-        for e in range(remaining + 1):
-            walk(prefix + [e], remaining - e)
-
-    walk([], bound)
-    return MonomialIdeal(ring, found)
+    # u + 1 interior to t*N: den * alpha . (u + 1) > num * c on every facet.
+    num, den = t.numerator, t.denominator
+    lifts = [(alpha[:-1], den * alpha[-1], num * c) for alpha, c in facets if alpha[-1]]
+    walls = [(alpha[:-1], num * c) for alpha, c in facets if not alpha[-1]]
+    heads: list[Exponent] = [()]
+    for _ in range(n - 1):
+        heads = [h + (e,) for h in heads for e in range(bound - sum(h) + 1)]
+    points = []
+    for head in heads:
+        w = [x + 1 for x in head]
+        if any(den * sum(map(operator.mul, beta, w)) <= rhs for beta, rhs in walls):
+            continue
+        last = max(
+            0,
+            *((rhs - den * sum(map(operator.mul, beta, w))) // d for beta, d, rhs in lifts),
+        )
+        if last <= bound - sum(head):
+            points.append(head + (last,))
+    return MonomialIdeal._build(ring, points)
 
 
 def newton_fpt(a: MonomialIdeal) -> Fraction:

@@ -31,67 +31,6 @@ Exponent = tuple[int, ...]
 _GREVLEX_KEY = lambda u: (sum(u), tuple(-e for e in reversed(u)))
 
 
-class FieldElement:
-    """A residue in Z/p, canonical representative in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise PreconditionError("mixed moduli in field arithmetic")
-            return other
-        return FieldElement(other, self.p)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in Z/p")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(pow(self.value, e, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, FieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, p={self.p})"
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: total, multiplicative, with 1 minimal.
@@ -197,8 +136,6 @@ class PolyRing:
                 )
             if any(e < 0 or e > MAX_EXPONENT for e in u):
                 raise ExponentOverflowError(f"exponent out of range: {u}")
-            if isinstance(c, FieldElement):
-                c = c.value
             c = (acc.get(u, 0) + c) % self.p
             if c:
                 acc[u] = c
@@ -208,9 +145,6 @@ class PolyRing:
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
-
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.p, self.variables, order)
 
     def extend(self, new_vars: Iterable[str], order: MonomialOrder | None = None) -> "PolyRing":
         return PolyRing(
@@ -252,11 +186,6 @@ class Polynomial:
         """Single-term polynomial (a scalar times one monomial)."""
         return len(self.terms) == 1
 
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[(0,) * self.ring.nvars]
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -270,16 +199,9 @@ class Polynomial:
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_exponent()]
 
-    def coefficient(self, u: Exponent) -> FieldElement:
-        return FieldElement(self.terms.get(tuple(u), 0), self.ring.p)
-
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         key = self.ring.sort_key()
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def support(self) -> list[Exponent]:
-        """Monomials appearing with a nonzero coefficient, descending."""
-        return [u for u, _ in self.sorted_terms()]
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .arith import is_power_of
 from .errors import PreconditionError, ResourceCapError
@@ -134,23 +135,11 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
         def outside(k: int) -> bool:
             return not ideal_contains(bq, frob_power_int(a, k))
 
-    lo = _seed
-    if not outside(lo):
+    if not outside(_seed):
         raise PreconditionError("invalid search seed for mu")
     # Seeded from p*mu(q/p), the next value sits within p of the seed; start
     # the doubling bracket there and widen only if needed.
-    hi = lo + p if lo else 1
-    while outside(hi):
-        lo = hi
-        hi *= 2
-    # invariant: outside(lo), not outside(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if outside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_outside(outside, _seed, _seed + p if _seed else 1)
 
 
 def nu(f: Polynomial, b: Ideal, q: int) -> int:
@@ -165,10 +154,17 @@ def nu(f: Polynomial, b: Ideal, q: int) -> int:
     def outside(k: int) -> bool:
         return not _poly_in_ideal(f**k, bq)
 
-    lo, hi = 0, 1
+    return _last_outside(outside, 0, 1)
+
+
+def _last_outside(outside: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The largest k with outside(k), for a predicate true up to some point
+    and false beyond it, given outside(lo) and hi > lo: doubling bracket,
+    then bisection."""
     while outside(hi):
         lo = hi
         hi *= 2
+    # invariant: outside(lo), not outside(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if outside(mid):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 from frobpow import Ideal, PolyRing
-from frobpow.arith import floor_fraction
 
 
 def ring2(p, order=None):
@@ -72,7 +73,7 @@ def candidate_grid(p, lo, hi, b_max, c_max):
             dens.add(p**b * (p**c - 1))
     out = set()
     for d in dens:
-        for k in range(floor_fraction(lo * d) + 1, floor_fraction(hi * d) + 1):
+        for k in range(math.floor(lo * d) + 1, math.floor(hi * d) + 1):
             lam = Fraction(k, d)
             if lo < lam <= hi:
                 out.add(lam)
@@ -105,6 +106,18 @@ def fourier_motzkin_feasible(constraints, nvars):
         system = new_system
     zero = Fraction(0)
     return all(zero > rhs if strict else zero >= rhs for _, rhs, strict in system)
+
+
+def in_newton(facets, w, t, strict):
+    """Whether w lies in t*N (in its interior when strict), N described by
+    its facets (alpha, c), alpha . w >= c; the definition newton_tau's
+    closed form and newton_fpt are checked against."""
+    num, den = t.numerator, t.denominator
+    if strict:
+        return all(
+            den * sum(map(operator.mul, alpha, w)) > num * c for alpha, c in facets
+        )
+    return all(den * sum(map(operator.mul, alpha, w)) >= num * c for alpha, c in facets)
 
 
 def newton_member_fm(a, w, scale, strict):

@@ -202,11 +202,15 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["mu", "--num", "a", "--den", "b", "--q", "9", str(path)])
     assert code == 4
     assert "RADICAL_EXPONENT_CAP" in err
-    # the Newton test ideal's lattice walk is capped too
+    # the Newton test ideal is priced before its prefix loop: t = 200 answers,
+    # t = 10^4 (30003 prefixes times 30006) is refused
     path.write_text("p 3\nvars x y\nideal a = x^2, y^3\n")
     code, _, err = run(capsys, ["tau-monomial", "--ideal", "a", "--t", "200", str(path)])
+    assert code == 0
+    code, _, err = run(capsys, ["tau-monomial", "--ideal", "a", "--t", "10000", str(path)])
     assert code == 4
     assert "NEWTON_WALK_CAP" in err
+    assert str(30003 * 30006) in err
 
 
 # -- structured output ---------------------------------------------------------------

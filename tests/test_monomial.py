@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from frobpow import monomial
-from frobpow.arith import floor_fraction
 from frobpow.cli import _ideal_result
 from frobpow.errors import PreconditionError, ResourceCapError
 from frobpow.groebner import groebner_basis, normal_form
@@ -18,7 +17,6 @@ from frobpow.monomial import (
     mono_bracket,
     mono_contains,
     _enumerate_facets,
-    _in_newton,
     _newton_facets,
     mono_member,
     mono_power,
@@ -29,7 +27,7 @@ from frobpow.monomial import (
 )
 from frobpow.poly import MonomialOrder, PolyRing
 
-from helpers import maximal, mono, newton_member_fm, ring2
+from helpers import in_newton, maximal, mono, newton_member_fm, ring2
 
 
 def test_member_examples():
@@ -197,15 +195,13 @@ def test_tau_at_zero_is_unit():
 
 def _tau_brute_force(a, t, box):
     # independent check over a larger box, straight from the interior test
-    from frobpow.monomial import _in_newton, _newton_facets
-
     facets = _newton_facets(a)
-    found = []
-    for u in itertools.product(range(box), repeat=2):
-        w = [Fraction(u[0] + 1), Fraction(u[1] + 1)]
-        if _in_newton(facets, w, t, strict=True):
-            found.append(u)
-    return MonomialIdeal(a.ring, minimalize(found)) if found else MonomialIdeal(a.ring, [])
+    found = [
+        u
+        for u in itertools.product(range(box), repeat=a.ring.nvars)
+        if in_newton(facets, [x + 1 for x in u], t, strict=True)
+    ]
+    return MonomialIdeal(a.ring, found)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +215,21 @@ def test_tau_search_bound_matches_bigger_box(exps):
         t = Fraction(rng.randint(1, 60), rng.randint(30, 40))
         expected = _tau_brute_force(a, t, box=40)
         assert newton_tau(a, t) == expected
+
+
+@given(
+    exps=st.one_of(
+        st.lists(st.tuples(*[st.integers(0, 6)] * 2), min_size=1, max_size=5),
+        st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=4),
+    ),
+    t=st.fractions(0, Fraction(3, 2), max_denominator=6),
+)
+def test_newton_tau_matches_brute_force(exps, t):
+    n = len(exps[0])
+    a = MonomialIdeal(PolyRing(3, ("x", "y", "z")[:n]), exps)
+    # two past newton_tau's bound t * max|g| + n in every coordinate
+    box = math.ceil(t * max(sum(u) for u in a.gens)) + n + 3
+    assert newton_tau(a, t) == _tau_brute_force(a, t, box)
 
 
 def test_fpt_examples():
@@ -235,8 +246,6 @@ def test_fpt_examples():
 
 def test_fpt_diagonal_point_sits_on_boundary():
     # 1/fpt * (1,1) is in the polyhedron but not interior
-    from frobpow.monomial import _in_newton, _newton_facets
-
     rng = random.Random(9)
     R = ring2(3)
     for _ in range(30):
@@ -247,8 +256,8 @@ def test_fpt_diagonal_point_sits_on_boundary():
         lam = newton_fpt(a)
         facets = _newton_facets(a)
         s = Fraction(1) / lam
-        assert _in_newton(facets, (s, s), Fraction(1), strict=False)
-        assert not _in_newton(facets, (s, s), Fraction(1), strict=True)
+        assert in_newton(facets, (s, s), Fraction(1), strict=False)
+        assert not in_newton(facets, (s, s), Fraction(1), strict=True)
 
 
 def test_three_variable_paths_against_hand_formulas():
@@ -273,7 +282,7 @@ def test_three_variable_paths_against_hand_formulas():
         mk = mono_power(mn, k)
         assert newton_fpt(mk) == Fraction(n, k)
         for t in (Fraction(1, 2), Fraction(n + 1, k)):
-            s = max(0, floor_fraction(k * t - n) + 1)
+            s = max(0, math.floor(k * t - n) + 1)
             expect = mono_power(mn, s) if s else MonomialIdeal(Rn, [(0,) * n])
             assert newton_tau(mk, t) == expect, (n, k, t)
 
@@ -291,19 +300,19 @@ def test_facet_enumeration_cap_fires_before_any_work(monkeypatch):
 
 
 def test_newton_tau_walk_cap_fires_before_any_work(monkeypatch):
-    # On <x^2, y^3> the walk reaches t = 200 after about 16 s without the
-    # cap; t = 100 (about 2 s) stays below it.
+    # <x^2, y^3> at t = 10^4 has 30003 prefixes and 3 facets; t = 200 (603
+    # prefixes) answers in milliseconds: x^i y^j with 3(i + 1) + 2(j + 1) > 1200.
     R = PolyRing(3, ("x", "y"))
     a = MonomialIdeal(R, [(2, 0), (0, 3)])
-    bound = 3 * 200 + 2
-    checks = math.comb(bound + 2, 2) * (bound + 1)
-    assert checks > monomial.NEWTON_WALK_CAP
-    assert math.comb(3 * 100 + 4, 2) * (3 * 100 + 3) < monomial.NEWTON_WALK_CAP
-    monkeypatch.setattr(monomial, "_in_newton", None)  # walking would call it
+    prefixes = 3 * 10**4 + 2 + 1
+    price = prefixes * (prefixes + 3)
+    assert price > monomial.NEWTON_WALK_CAP
+    assert newton_tau(a, 200).gens == tuple((i, (1197 - 3 * i) // 2) for i in range(400))
+    monkeypatch.setattr(monomial, "operator", None)  # the prefix loop reads it
     with pytest.raises(ResourceCapError) as exc:
-        newton_tau(a, 200)
+        newton_tau(a, 10**4)
     assert f"NEWTON_WALK_CAP ({monomial.NEWTON_WALK_CAP})" in str(exc.value)
-    assert str(checks) in str(exc.value)
+    assert str(price) in str(exc.value)
 
 
 three_variable_antichains = st.lists(
@@ -323,7 +332,7 @@ def test_facet_membership_matches_fourier_motzkin(exps, points, t):
     # the scaled generators sit on the boundary of t*N or inside it
     for w in points + [tuple(t * e for e in g) for g in a.gens]:
         for strict in (True, False):
-            assert _in_newton(facets, w, t, strict) == newton_member_fm(a, w, t, strict)
+            assert in_newton(facets, w, t, strict) == newton_member_fm(a, w, t, strict)
 
 
 @given(exps=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8))

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from frobpow.errors import ExponentOverflowError, ParseError, PreconditionError
 from frobpow.poly import (
-    FieldElement,
     MonomialOrder,
     PolyRing,
     format_polynomial,
@@ -18,24 +17,26 @@ from helpers import random_poly, ring2
 PRIMES = [2, 3, 5]
 
 
-# -- field elements ------------------------------------------------------------
+# -- coefficient field: Z/p arithmetic on constant polynomials ------------------
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_field_fermat_fixed_points(p):
+    R = ring2(p)
     for a in range(p):
-        assert FieldElement(a, p) ** p == FieldElement(a, p)
+        assert R.const(a) ** p == R.const(a)
 
 
 def test_field_arithmetic():
-    a, b = FieldElement(3, 5), FieldElement(4, 5)
-    assert a + b == FieldElement(2, 5)
-    assert a - b == FieldElement(4, 5)
-    assert a * b == FieldElement(2, 5)
-    assert (a / b) * b == a
-    assert b.inverse() * b == FieldElement(1, 5)
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 5).inverse()
+    R = ring2(5)
+    a, b = R.const(3), R.const(4)
+    assert a + b == R.const(2)
+    assert a - b == R.const(4)
+    assert a * b == R.const(2)
+    assert -a == R.const(2)
+    assert b.monic() == R.one()  # scaled by the inverse of 4
+    assert (a * b).scale(pow(4, -1, 5)) == a
+    assert R.const(10).is_zero()
 
 
 # -- canonicalization -----------------------------------------------------------

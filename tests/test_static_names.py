@@ -1,11 +1,15 @@
-"""Static name check: every global a function reads exists.
+"""Static name checks: every global a function reads exists, and every
+private module-level function has a caller.
 
 No linter ships with the project, so this walks each module's symbol table
 with the stdlib ``symtable`` and flags free names that are neither defined
 at module level (assignment, def, class, import) nor builtins.  A missing
-import in a rarely taken branch fails here instead of at run time.
+import in a rarely taken branch fails here instead of at run time.  The
+package's syntax trees, read with ``ast``, show which private functions no
+module names any more.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -43,6 +47,31 @@ def unresolved_globals(source: str, filename: str) -> list[str]:
     return out
 
 
+def orphaned_private_functions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each private module-level function that no
+    source names outside its own definition (a read, an attribute or an
+    import)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in named
+    ]
+
+
 def test_modules_found():
     assert {"ideal.py", "frobpower.py", "thresholds.py"} <= {m.name for m in MODULES}
 
@@ -61,3 +90,17 @@ def test_guard_flags_a_missing_import():
         "        return [os.sep * LIMIT for _ in range(2)], missing_name\n"
     )
     assert unresolved_globals(source, "<probe>") == ["C.m -> missing_name"]
+
+
+def test_private_functions_have_callers():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert orphaned_private_functions(sources) == []
+
+
+def test_guard_flags_an_orphaned_private_function():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _orphan():\n    return 2\n",
+        "b": "from .a import _used\n\ndef public():\n    return _used()\n",
+        "c": "from . import a\n\ndef _helper():\n    return a._used()\n\nVALUE = _helper()\n",
+    }
+    assert orphaned_private_functions(sources) == ["a._orphan"]

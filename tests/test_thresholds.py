@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError, ResourceCapError
@@ -10,6 +10,7 @@ from frobpow.monomial import newton_fpt
 from frobpow.thresholds import (
     TruncationReport,
     _denominators,
+    _last_outside,
     _next_candidate,
     _reconstruct,
     check_radical_containment,
@@ -84,6 +85,20 @@ def test_nu_against_brute_force_expansion():
     brute = max(k for k in range(0, 12) if outside(k))
     assert brute == 3
     assert nu(f, maximal(R), 5) == brute
+
+
+@given(last=st.integers(0, 10**6), lo=st.integers(0, 10**6), step=st.integers(1, 10))
+def test_last_outside_finds_the_threshold(last, lo, step):
+    # the search mu and nu share: doubling bracket from (lo, lo + step), then bisection
+    assume(lo <= last)
+    probes = []
+
+    def outside(k):
+        probes.append(k)
+        return k <= last
+
+    assert _last_outside(outside, lo, lo + step) == last
+    assert len(probes) <= 2 * (last + step).bit_length() + 2
 
 
 def test_truncation_examples():
