@@ -27,13 +27,12 @@ from .ideal import (
     frob_power_int_gens,
     frob_root,
     ideal_contains,
-    ideal_equal,
     ideal_power,
     ideal_product,
     ideal_sum,
 )
 from .monomial import MonomialIdeal, mono_member, mono_root, newton_fpt, newton_tau
-from .poly import MonomialOrder, Polynomial, PolyRing, parse_polynomial, poly_canonicalize
+from .poly import MonomialOrder, Polynomial, PolyRing, parse_polynomial
 from .thresholds import TruncationReport, crit_reconstruct, crit_truncations, lce, mu, nu
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "groebner_basis",
     "Ideal",
     "ideal_contains",
-    "ideal_equal",
     "ideal_power",
     "ideal_product",
     "ideal_sum",
@@ -75,7 +73,6 @@ __all__ = [
     "PadicDecomposition",
     "ParseError",
     "parse_polynomial",
-    "poly_canonicalize",
     "Polynomial",
     "PolyRing",
     "PreconditionError",

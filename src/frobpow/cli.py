@@ -7,10 +7,14 @@ Problem file grammar (one directive per line, '#' starts a comment)::
     ideal a = x^5, y^5
     rational t0 = 2/5
 
-Commands dispatch to the kernel; results print as canonical generator lists
-(reduced basis for general ideals, minimal generators for monomial ones,
-grevlex-descending) or reduced rationals.  Exit codes: 0 success, 2 parse
-error, 3 precondition violation, 4 resource cap exceeded.
+``COMMANDS`` is the command set: each entry gives a command's help line, its
+options (keys of ``_OPTIONS``) and a handler, which returns the text output
+and the JSON fields after ``command``/``p``/``vars``.  ``build_parser`` and
+``run_command`` read the table; q and t go to the library, which rejects bad
+values.  Results print as canonical generator lists (reduced basis for
+general ideals, minimal generators for monomial ones, grevlex-descending) or
+reduced rationals.  Exit codes: 0 success, 2 parse error, 3 precondition
+violation, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .arith import is_power_of, p_adic_decompose
+from .arith import p_adic_decompose
 from .errors import (
     ExponentOverflowError,
     FrobpowError,
@@ -29,7 +34,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .frobpower import StepFunction, jumps_scan, rational_power
+from .frobpower import jumps_scan, rational_power
 from .generic import principal_power_oracle, stratify
 from .ideal import Ideal, frob_root
 from .monomial import newton_fpt, newton_tau
@@ -154,6 +159,21 @@ class ProblemFile:
     ideals: dict[str, Ideal] = field(default_factory=dict)
     rationals: dict[str, Fraction] = field(default_factory=dict)
 
+    def ideal(self, name: str) -> Ideal:
+        """The ideal declared under `name`."""
+        if name not in self.ideals:
+            raise PreconditionError(f"no ideal named {name!r} in the input")
+        return self.ideals[name]
+
+    def rational(self, text: str) -> Fraction:
+        """The rational declared under `text`, else `text` read as a rational."""
+        if text in self.rationals:
+            return self.rationals[text]
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"bad rational {text!r}")
+
 
 def parse_input(text: str) -> ProblemFile:
     """Parse the problem-file grammar; errors carry line and column."""
@@ -230,193 +250,163 @@ def parse_input(text: str) -> ProblemFile:
     return ProblemFile(p=p, ring=ring, ideals=ideals, rationals=rationals)
 
 
-# -- result rendering ------------------------------------------------------------
+# -- commands and their output ---------------------------------------------------
 
-
-def _ideal_strings(a: Ideal) -> list[str]:
-    gens = a.canonical_generators()
-    if not gens:
-        return ["0"]
-    return [str(g) for g in gens]
+Output = tuple[str, dict]  # text output, JSON fields after command/p/vars
 
 
 def _ideal_result(a: Ideal) -> tuple[str, dict]:
-    names = _ideal_strings(a)
+    """The text and the JSON ``result`` object of an ideal."""
+    names = [str(g) for g in a.canonical_generators()] or ["0"]
     return ", ".join(names), {"generators": names}
 
 
-def _certification(report: TruncationReport) -> dict:
-    return {
-        "q_list": list(report.q_list),
-        "mu_list": list(report.mu_list),
-        "truncations": [str(t) for t in report.mu_over_q],
-        "interval_low": str(report.interval_low),
-        "interval_high": str(report.interval_high),
-        "candidate": None if report.candidate is None else str(report.candidate),
-        "certified_exact": report.certified_exact,
+def _ideal_output(a: Ideal) -> Output:
+    text, result = _ideal_result(a)
+    return text, {"result": result}
+
+
+def _value_output(value) -> Output:
+    return str(value), {"result": {"value": str(value)}}
+
+
+def _report_output(report: TruncationReport, verbose: bool) -> Output:
+    low, high = report.interval_low, report.interval_high
+    candidate = None if report.candidate is None else str(report.candidate)
+    if candidate is None:
+        text = f"no candidate in ({low}, {high}]"
+    else:
+        text = f"{candidate} ({'certified' if report.certified_exact else 'heuristic'})"
+    truncations = [str(t) for t in report.mu_over_q]
+    if verbose:
+        text += f"\ntruncations: {', '.join(truncations)}\ninterval: ({low}, {high}]"
+    return text, {
+        "result": {"value": candidate},
+        "certification": {
+            "q_list": list(report.q_list),
+            "mu_list": list(report.mu_list),
+            "truncations": truncations,
+            "interval_low": str(low),
+            "interval_high": str(high),
+            "candidate": candidate,
+            "certified_exact": report.certified_exact,
+        },
     }
 
 
-def _report_text(report: TruncationReport, verbose: bool) -> str:
-    if report.candidate is None:
-        line = (
-            f"no candidate in ({report.interval_low}, {report.interval_high}]"
+def _power(file: ProblemFile, args: argparse.Namespace) -> Output:
+    t = file.rational(args.t)
+    text, fields = _ideal_output(rational_power(file.ideal(args.ideal), t))
+    if args.verbose:
+        d = p_adic_decompose(t, file.p)
+        fields["decomposition"] = {
+            "b": d.b, "c": d.c, "k": str(d.k), "l": str(d.l), "r": str(d.r)
+        }
+        text += f"\nt = {t}: b={d.b} c={d.c} k={d.k} l={d.l} r={d.r}"
+    return text, fields
+
+
+def _root(file: ProblemFile, args: argparse.Namespace) -> Output:
+    return _ideal_output(frob_root(file.ideal(args.ideal), args.q))
+
+
+def _mu(file: ProblemFile, args: argparse.Namespace) -> Output:
+    return _value_output(mu(file.ideal(args.num), file.ideal(args.den), args.q))
+
+
+def _nu(file: ProblemFile, args: argparse.Namespace) -> Output:
+    f = file.ideal(args.poly)
+    if len(f.gens) != 1:
+        raise PreconditionError(
+            f"--poly needs a principal ideal, {args.poly!r} has {len(f.gens)} generators"
         )
-    else:
-        tag = "certified" if report.certified_exact else "heuristic"
-        line = f"{report.candidate} ({tag})"
-    if verbose:
-        truncs = ", ".join(str(t) for t in report.mu_over_q)
-        line += f"\ntruncations: {truncs}"
-        line += f"\ninterval: ({report.interval_low}, {report.interval_high}]"
-    return line
+    return _value_output(nu(f.gens[0], file.ideal(args.den), args.q))
 
 
-def _grid_payload(step: StepFunction) -> dict:
-    return {
+def _crit(file: ProblemFile, args: argparse.Namespace) -> Output:
+    a, b = file.ideal(args.num), file.ideal(args.den)
+    report = crit_reconstruct(a, b, args.emax, args.bmax, args.cmax)
+    return _report_output(report, args.verbose)
+
+
+def _lce(file: ProblemFile, args: argparse.Namespace) -> Output:
+    report = lce(file.ideal(args.ideal), args.emax, args.bmax, args.cmax)
+    return _report_output(report, args.verbose)
+
+
+def _tau_monomial(file: ProblemFile, args: argparse.Namespace) -> Output:
+    a = file.ideal(args.ideal).to_monomial()
+    return _ideal_output(Ideal.from_monomial(newton_tau(a, file.rational(args.t))))
+
+
+def _fpt_monomial(file: ProblemFile, args: argparse.Namespace) -> Output:
+    return _value_output(newton_fpt(file.ideal(args.ideal).to_monomial()))
+
+
+def _jumps(file: ProblemFile, args: argparse.Namespace) -> Output:
+    step = jumps_scan(file.ideal(args.ideal), args.emax)
+    shown = [(lo, hi, *_ideal_result(v)) for lo, hi, v in step.intervals()]
+    text = "\n".join(f"[{lo}, {hi}): {gens}" for lo, hi, gens, _ in shown)
+    grid = {
         "resolution": str(step.resolution),
         "breakpoints": [str(b) for b in step.breakpoints],
         "intervals": [
-            {"start": str(lo), "end": str(hi), "generators": _ideal_strings(v)}
-            for lo, hi, v in step.intervals()
+            {"start": str(lo), "end": str(hi), **result} for lo, hi, _, result in shown
         ],
     }
+    return text, {"grid": grid, "result": shown[0][3]}
 
 
-def _monomial_of(file: ProblemFile, name: str):
-    return _named_ideal(file, name).to_monomial()
+def _principalize(file: ProblemFile, args: argparse.Namespace) -> Output:
+    gens = list(file.ideal(args.ideal).gens)
+    return _ideal_output(principal_power_oracle(gens, file.rational(args.t)))
 
 
-def _named_ideal(file: ProblemFile, name: str) -> Ideal:
-    if name not in file.ideals:
-        raise PreconditionError(f"no ideal named {name!r} in the input")
-    return file.ideals[name]
+def _stratify(file: ProblemFile, args: argparse.Namespace) -> Output:
+    gens, b = list(file.ideal(args.ideal).gens), file.ideal(args.den).to_monomial()
+    pairs = [
+        {"monomial": str(file.ring.monomial(u)), "coefficient": str(h)}
+        for u, h in stratify(gens, b, args.i, args.q)
+    ]
+    text = "\n".join(f"{d['monomial']}: {d['coefficient']}" for d in pairs)
+    return text, {"result": {"pairs": pairs}}
 
 
-def _named_poly(file: ProblemFile, name: str):
-    a = _named_ideal(file, name)
-    if len(a.gens) != 1:
-        raise PreconditionError(f"--poly needs a principal ideal, {name!r} has {len(a.gens)} generators")
-    return a.gens[0]
+class Command(NamedTuple):
+    help: str
+    options: str  # space-separated keys of _OPTIONS
+    run: Callable[[ProblemFile, argparse.Namespace], Output]
 
 
-def _parse_t(file: ProblemFile, text: str) -> Fraction:
-    if text in file.rationals:
-        return file.rationals[text]
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"bad rational {text!r}")
-    if value < 0:
-        raise PreconditionError("t must be nonnegative")
-    return value
+# argparse settings of each option: required strings and integers, crit/lce caps
+_OPTIONS = dict.fromkeys(("ideal", "num", "den", "poly", "t"), {"required": True})
+_OPTIONS.update(dict.fromkeys(("q", "i", "emax"), {"required": True, "type": int}))
+_OPTIONS.update(dict.fromkeys(("bmax", "cmax"), {"type": int, "default": 4}))
+
+COMMANDS: dict[str, Command] = {
+    "power": Command("rational Frobenius power a^[t]", "ideal t", _power),
+    "root": Command("Frobenius root a^[1/q]", "ideal q", _root),
+    "mu": Command("critical numerator mu(q)", "num den q", _mu),
+    "nu": Command("F-threshold numerator nu(q) for a polynomial", "poly den q", _nu),
+    "crit": Command(
+        "critical exponent truncations + candidate", "num den emax bmax cmax", _crit
+    ),
+    "lce": Command("least critical exponent at the origin", "ideal emax bmax cmax", _lce),
+    "tau-monomial": Command("Newton-polyhedron test ideal", "ideal t", _tau_monomial),
+    "fpt-monomial": Command("F-pure threshold of a monomial ideal", "ideal", _fpt_monomial),
+    "jumps": Command("step function of a^[t] on a p-power grid", "ideal emax", _jumps),
+    "principalize": Command("a^[t] through the generic hypersurface", "ideal t", _principalize),
+    "stratify": Command("coefficient extraction for strata", "ideal den i q", _stratify),
+}
 
 
 def run_command(file: ProblemFile, command: str, args: argparse.Namespace) -> dict:
-    """Execute one command; returns {'text': ..., 'json': ...}."""
-    payload: dict = {
-        "command": command,
-        "p": file.p,
-        "vars": list(file.ring.variables),
-    }
-    verbose = getattr(args, "verbose", False)
-    if command == "power":
-        t = _parse_t(file, args.t)
-        result = rational_power(_named_ideal(file, args.ideal), t)
-        text, payload["result"] = _ideal_result(result)
-        if verbose:
-            dec = p_adic_decompose(t, file.p)
-            payload["decomposition"] = {
-                "b": dec.b,
-                "c": dec.c,
-                "k": str(dec.k),
-                "l": str(dec.l),
-                "r": str(dec.r),
-            }
-            text += f"\nt = {t}: b={dec.b} c={dec.c} k={dec.k} l={dec.l} r={dec.r}"
-    elif command == "root":
-        result = frob_root(_named_ideal(file, args.ideal), _parse_q(file, args.q))
-        text, payload["result"] = _ideal_result(result)
-    elif command == "mu":
-        value = mu(
-            _named_ideal(file, args.num),
-            _named_ideal(file, args.den),
-            _parse_q(file, args.q),
-        )
-        text, payload["result"] = str(value), {"value": str(value)}
-    elif command == "nu":
-        value = nu(
-            _named_poly(file, args.poly),
-            _named_ideal(file, args.den),
-            _parse_q(file, args.q),
-        )
-        text, payload["result"] = str(value), {"value": str(value)}
-    elif command == "crit":
-        report = crit_reconstruct(
-            _named_ideal(file, args.num),
-            _named_ideal(file, args.den),
-            args.emax,
-            args.bmax,
-            args.cmax,
-        )
-        text = _report_text(report, verbose)
-        payload["result"] = {
-            "value": None if report.candidate is None else str(report.candidate)
-        }
-        payload["certification"] = _certification(report)
-    elif command == "lce":
-        report = lce(_named_ideal(file, args.ideal), args.emax, args.bmax, args.cmax)
-        text = _report_text(report, verbose)
-        payload["result"] = {
-            "value": None if report.candidate is None else str(report.candidate)
-        }
-        payload["certification"] = _certification(report)
-    elif command == "tau-monomial":
-        result = newton_tau(_monomial_of(file, args.ideal), _parse_t(file, args.t))
-        text, payload["result"] = _ideal_result(Ideal.from_monomial(result))
-    elif command == "fpt-monomial":
-        value = newton_fpt(_monomial_of(file, args.ideal))
-        text, payload["result"] = str(value), {"value": str(value)}
-    elif command == "jumps":
-        step = jumps_scan(_named_ideal(file, args.ideal), args.emax)
-        payload["grid"] = _grid_payload(step)
-        first = step.values[0]
-        text_lines = [
-            f"[{lo}, {hi}): {', '.join(_ideal_strings(v))}"
-            for lo, hi, v in step.intervals()
-        ]
-        text = "\n".join(text_lines)
-        payload["result"] = {"generators": _ideal_strings(first)}
-    elif command == "principalize":
-        result = principal_power_oracle(
-            list(_named_ideal(file, args.ideal).gens), _parse_t(file, args.t)
-        )
-        text, payload["result"] = _ideal_result(result)
-    elif command == "stratify":
-        pairs = stratify(
-            list(_named_ideal(file, args.ideal).gens),
-            _monomial_of(file, args.den),
-            args.i,
-            _parse_q(file, args.q),
-        )
-        rendered = [
-            {
-                "monomial": str(file.ring.monomial(u)),
-                "coefficient": str(h),
-            }
-            for u, h in pairs
-        ]
-        payload["result"] = {"pairs": rendered}
-        text = "\n".join(f"{d['monomial']}: {d['coefficient']}" for d in rendered)
-    else:
+    """Run a command on build_parser's arguments; returns {'text': ..., 'json': ...}."""
+    if command not in COMMANDS:
         raise PreconditionError(f"unknown command {command!r}")
-    return {"text": text, "json": payload}
-
-
-def _parse_q(file: ProblemFile, q: int) -> int:
-    if not is_power_of(q, file.p):
-        raise PreconditionError(f"q = {q} is not a power of p = {file.p}")
-    return q
+    text, fields = COMMANDS[command].run(file, args)
+    payload = {"command": command, "p": file.p, "vars": list(file.ring.variables)}
+    return {"text": text, "json": {**payload, **fields}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,75 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Frobenius powers, roots and critical exponents over Z/p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for option in command.options.split():
+            sp.add_argument(f"--{option}", **_OPTIONS[option])
         sp.add_argument("input", help="problem file path, or '-' for stdin")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument("--verbose", action="store_true")
-
-    sp = sub.add_parser("power", help="rational Frobenius power a^[t]")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--t", required=True)
-    common(sp)
-
-    sp = sub.add_parser("root", help="Frobenius root a^[1/q]")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--q", required=True, type=int)
-    common(sp)
-
-    sp = sub.add_parser("mu", help="critical numerator mu(q)")
-    sp.add_argument("--num", required=True)
-    sp.add_argument("--den", required=True)
-    sp.add_argument("--q", required=True, type=int)
-    common(sp)
-
-    sp = sub.add_parser("nu", help="F-threshold numerator nu(q) for a polynomial")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--den", required=True)
-    sp.add_argument("--q", required=True, type=int)
-    common(sp)
-
-    sp = sub.add_parser("crit", help="critical exponent truncations + candidate")
-    sp.add_argument("--num", required=True)
-    sp.add_argument("--den", required=True)
-    sp.add_argument("--emax", required=True, type=int)
-    sp.add_argument("--bmax", type=int, default=4)
-    sp.add_argument("--cmax", type=int, default=4)
-    common(sp)
-
-    sp = sub.add_parser("lce", help="least critical exponent at the origin")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--emax", required=True, type=int)
-    sp.add_argument("--bmax", type=int, default=4)
-    sp.add_argument("--cmax", type=int, default=4)
-    common(sp)
-
-    sp = sub.add_parser("tau-monomial", help="Newton-polyhedron test ideal")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--t", required=True)
-    common(sp)
-
-    sp = sub.add_parser("fpt-monomial", help="F-pure threshold of a monomial ideal")
-    sp.add_argument("--ideal", required=True)
-    common(sp)
-
-    sp = sub.add_parser("jumps", help="step function of a^[t] on a p-power grid")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--emax", required=True, type=int)
-    common(sp)
-
-    sp = sub.add_parser("principalize", help="a^[t] through the generic hypersurface")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--t", required=True)
-    common(sp)
-
-    sp = sub.add_parser("stratify", help="coefficient extraction for strata")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--den", required=True)
-    sp.add_argument("--i", required=True, type=int)
-    sp.add_argument("--q", required=True, type=int)
-    common(sp)
-
     return parser
 
 

@@ -30,12 +30,10 @@ def p_rational_power(a: Ideal, k: int, q: int) -> Ideal:
     The root is taken digit by digit, so a^{[k]} is never built (see
     :func:`frobpow.ideal.frob_power_int`).
     """
-    if k < 0:
-        raise PreconditionError("p_rational_power requires k >= 0")
     return frob_power_int(a, k, q)
 
 
-def rational_power(a: Ideal, t: Fraction | int, iteration_cap: int = ITERATION_CAP) -> Ideal:
+def rational_power(a: Ideal, t: Fraction | int) -> Ideal:
     """The Frobenius power a^{[t]} at any nonnegative rational t.
 
     The zeroth power is the unit ideal even for the zero ideal (a^0 = R), so
@@ -53,10 +51,10 @@ def rational_power(a: Ideal, t: Fraction | int, iteration_cap: int = ITERATION_C
     dec = p_adic_decompose(t, p)
     if dec.c == 0:
         return p_rational_power(a, dec.k, p**dec.b)
-    return _general_power(a, dec.b, dec.c, dec.l, dec.r, iteration_cap)
+    return _general_power(a, dec.b, dec.c, dec.l, dec.r)
 
 
-def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int = ITERATION_CAP) -> Ideal:
+def _general_power(a: Ideal, b: int, c: int, l: int, r: int) -> Ideal:
     """Stabilization loop for t = ((p^c - 1) l + r) / (p^b (p^c - 1)), c > 0."""
     p = a.ring.p
     qc = p**c
@@ -64,7 +62,7 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int, iteration_cap: int 
         # r = p^c - 1 would break the digit-disjointness behind the recursion
         raise PreconditionError("division data out of range: need 0 <= r < p^c - 1")
     current = compact(frob_power_int(a, r + 1, qc))
-    for _ in range(iteration_cap):
+    for _ in range(ITERATION_CAP):
         nxt = compact(frob_power_int(a, r, qc, current))
         if ideal_contains(current, nxt):
             break

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import is_power_of
 from .errors import PreconditionError
 from .frobpower import rational_power
-from .ideal import Ideal, eliminate
+from .ideal import Ideal, _check_q, eliminate
 from .monomial import MonomialIdeal, mono_bracket, mono_member
 from .poly import Exponent, Polynomial, PolyRing
 
@@ -55,16 +54,21 @@ class ExtendedRingContext:
         return G
 
 
+def _generic(gens: Sequence[Polynomial]) -> tuple[ExtendedRingContext, Polynomial]:
+    """The extended ring of nonzero generators and G in it."""
+    gens = list(gens)
+    if not gens or any(g.is_zero() for g in gens):
+        raise PreconditionError("generators must be nonzero")
+    ctx = ExtendedRingContext.for_generators(gens[0].ring, len(gens))
+    return ctx, ctx.generic_combination(gens)
+
+
 def tau_generic(gens: Sequence[Polynomial], t: Fraction | int) -> Ideal:
     """tau(G^t) = <G>^{[t]} in the extended ring (principal, so powers are plain)."""
     t = Fraction(t)
     if t <= 0:
         raise PreconditionError("tau_generic requires t > 0")
-    gens = list(gens)
-    if not gens or any(g.is_zero() for g in gens):
-        raise PreconditionError("generators must be nonzero")
-    ctx = ExtendedRingContext.for_generators(gens[0].ring, len(gens))
-    G = ctx.generic_combination(gens)
+    ctx, G = _generic(gens)
     return rational_power(Ideal(ctx.ext, [G]), t)
 
 
@@ -73,15 +77,10 @@ def principal_power_oracle(gens: Sequence[Polynomial], t: Fraction | int) -> Ide
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionError("principal_power_oracle requires 0 < t < 1")
-    gens = list(gens)
-    if not gens or any(g.is_zero() for g in gens):
-        raise PreconditionError("generators must be nonzero")
-    base = gens[0].ring
-    ctx = ExtendedRingContext.for_generators(base, len(gens))
-    G = ctx.generic_combination(gens)
+    ctx, G = _generic(gens)
     tau = rational_power(Ideal(ctx.ext, [G]), t)
     down = eliminate(tau, ctx.aux_names)
-    return Ideal(base, [g.remap(base) for g in down.gens])
+    return Ideal(ctx.base, [g.remap(ctx.base) for g in down.gens])
 
 
 def stratify(
@@ -96,23 +95,17 @@ def stratify(
     """
     if i < 1:
         raise PreconditionError("stratify requires i >= 1")
-    gens = list(gens)
-    if not gens or any(g.is_zero() for g in gens):
-        raise PreconditionError("generators must be nonzero")
-    base = gens[0].ring
+    ctx, G = _generic(gens)
+    base = ctx.base
     if b.ring != base:
         raise PreconditionError("monomial ideal lives in a different ring")
     if b.is_zero() or b.is_unit():
         raise PreconditionError("stratify needs a nonzero proper monomial ideal")
-    p = base.p
-    if not is_power_of(q, p):
-        raise PreconditionError("q must be a power of the characteristic")
-    ctx = ExtendedRingContext.for_generators(base, len(gens))
-    G = ctx.generic_combination(gens)
+    _check_q(base, q)
     power = G**i
     nbase = base.nvars
     bq = mono_bracket(b, q)
-    z_ring = PolyRing(p, ctx.aux_names)
+    z_ring = PolyRing(base.p, ctx.aux_names)
     grouped: dict[Exponent, dict[Exponent, int]] = {}
     for w, c in power.terms.items():
         xu, zu = w[:nbase], w[nbase:]

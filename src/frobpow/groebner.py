@@ -18,8 +18,8 @@ from .poly import Exponent, MonomialOrder, Polynomial, PolyRing
 
 Terms = dict[Exponent, int]
 
-# (leading exponent, inverse of leading coefficient, term dict), sorted by lead
-_Reducer = tuple[Exponent, int, Terms]
+# (leading exponent, term dict) of a monic polynomial, sorted by lead
+_Reducer = tuple[Exponent, Terms]
 
 
 def _reduce_full(f: Terms, reducers: Sequence[_Reducer], p: int, key) -> Terms:
@@ -30,26 +30,25 @@ def _reduce_full(f: Terms, reducers: Sequence[_Reducer], p: int, key) -> Terms:
         m = max(work, key=key)
         c = work.pop(m)
         hit = None
-        for lm, lcinv, g in reducers:
+        for lm, g in reducers:
             ok = True
             for a, b in zip(lm, m):
                 if a > b:
                     ok = False
                     break
             if ok:
-                hit = (lm, lcinv, g)
+                hit = (lm, g)
                 break
         if hit is None:
             result[m] = c
             continue
-        lm, lcinv, g = hit
+        lm, g = hit
         shift = tuple(b - a for a, b in zip(lm, m))
-        factor = (c * lcinv) % p
         for gm, gc in g.items():
             if gm == lm:
                 continue
             nm = tuple(a + b for a, b in zip(gm, shift))
-            nc = (work.get(nm, 0) - factor * gc) % p
+            nc = (work.get(nm, 0) - c * gc) % p
             if nc:
                 work[nm] = nc
             elif nm in work:
@@ -65,13 +64,9 @@ def _monic(f: Terms, p: int, key) -> Terms:
     return {m: (c * inv) % p for m, c in f.items()}
 
 
-def _reducers(polys: Sequence[Terms], p: int, key) -> list[_Reducer]:
-    out = []
-    for g in polys:
-        lm = max(g, key=key)
-        out.append((lm, pow(g[lm], p - 2, p), g))
-    out.sort(key=lambda t: key(t[0]))
-    return out
+def _reducers(polys: Sequence[Terms], key) -> list[_Reducer]:
+    """Reducers for monic polynomials, sorted by lead."""
+    return sorted(((max(g, key=key), g) for g in polys), key=lambda t: key(t[0]))
 
 
 def _buchberger(gens: list[Terms], p: int, key) -> list[Terms]:
@@ -124,7 +119,7 @@ def _buchberger(gens: list[Terms], p: int, key) -> list[Terms]:
                     s[nm] = nc
                 elif nm in s:
                     del s[nm]
-        r = _reduce_full(s, _reducers(G, p, key), p, key)
+        r = _reduce_full(s, _reducers(G, key), p, key)
         if r:
             G.append(_monic(r, p, key))
             lms.append(max(r, key=key))
@@ -146,7 +141,7 @@ def _interreduce(G: list[Terms], p: int, key) -> list[Terms]:
         kept_lms.append(lm)
     out: list[Terms] = []
     for i, f in enumerate(kept):
-        others = _reducers([g for j, g in enumerate(kept) if j != i], p, key)
+        others = _reducers([g for j, g in enumerate(kept) if j != i], key)
         r = _reduce_full(f, others, p, key)
         if r:
             out.append(_monic(r, p, key))
@@ -190,7 +185,7 @@ class GroebnerBasis:
 
     def reducers(self) -> list[_Reducer]:
         if self._table is None:
-            self._table = _reducers([g.terms for g in self.polys], self.ring.p, self.order.sort_key())
+            self._table = _reducers([g.terms for g in self.polys], self.order.sort_key())
         return self._table
 
     def reduces_to_zero(self, f: Polynomial) -> bool:

@@ -394,10 +394,6 @@ def ideal_contains(a: Ideal, b: Ideal) -> bool:
     return all(gb.reduces_to_zero(g) for g in b.gens)
 
 
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a == b
-
-
 def eliminate(a: Ideal, drop: Iterable[str]) -> Ideal:
     """Generators of a intersected with the subring without `drop`.
 
@@ -434,8 +430,4 @@ def _same_ring(a: Ideal, b: Ideal):
 
 def _check_q(ring: PolyRing, q: int):
     if not is_power_of(q, ring.p):
-        raise PreconditionError(
-            "q must be a positive power of p"
-            if q < 1
-            else "q must be a power of the characteristic"
-        )
+        raise PreconditionError(f"q = {q} is not a power of p = {ring.p}")

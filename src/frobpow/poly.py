@@ -157,11 +157,6 @@ class PolyRing:
         return self.order.sort_key()
 
 
-def poly_canonicalize(ring: PolyRing, terms: Iterable[tuple[Exponent, int]]) -> "Polynomial":
-    """Merge duplicate monomials, drop zeros, and fix the term order."""
-    return ring.poly(terms)
-
-
 class Polynomial:
     """Immutable sparse polynomial over Z/p."""
 

@@ -24,14 +24,13 @@ is attained -- an unconditional certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .arith import is_power_of
 from .errors import PreconditionError, ResourceCapError
 from .frobpower import rational_power
-from .ideal import Ideal, bracket_power, frob_power_int, ideal_contains
+from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
 from .monomial import mono_member
 from .poly import Polynomial
 
@@ -64,7 +63,7 @@ def _poly_in_ideal(f: Polynomial, b: Ideal) -> bool:
     return b.reduced_basis().reduces_to_zero(f)
 
 
-def _in_radical(f: Polynomial, b: Ideal, cap: int = RADICAL_EXPONENT_CAP) -> bool:
+def _in_radical(f: Polynomial, b: Ideal) -> bool:
     if b.is_monomial:
         # the radical of a monomial ideal is monomial (supports of the
         # generators), and membership there is term by term: exact, no cap
@@ -78,30 +77,32 @@ def _in_radical(f: Polynomial, b: Ideal, cap: int = RADICAL_EXPONENT_CAP) -> boo
     gb = b.reduced_basis()
     w = normal_form(f, gb)
     e = 1
-    while e <= cap:
+    while e <= RADICAL_EXPONENT_CAP:
         if w.is_zero():
             return True
         w = normal_form(w * w, gb)
         e <<= 1
     raise ResourceCapError(
         f"radical membership of {f} undetermined: no power up to exponent "
-        f"{e >> 1} reduces to zero (RADICAL_EXPONENT_CAP {cap})"
+        f"{e >> 1} reduces to zero (RADICAL_EXPONENT_CAP {RADICAL_EXPONENT_CAP})"
     )
 
 
-def check_radical_containment(a: Ideal, b: Ideal, cap: int = RADICAL_EXPONENT_CAP):
+def check_radical_containment(a: Ideal, b: Ideal):
     """Verify a is contained in the radical of b.
 
     Raises PreconditionError when a monomial b shows it is not, and
-    ResourceCapError when no power up to `cap` of a generator settles it.
+    ResourceCapError when no power up to RADICAL_EXPONENT_CAP of a generator
+    settles it.
     """
     for g in a.gens:
-        if not _in_radical(g, b, cap):
+        if not _in_radical(g, b):
             raise PreconditionError(f"generator {g} is not in the radical of b")
 
 
 def _validate_pair(a: Ideal, b: Ideal, q: int):
-    if q < a.ring.p or not is_power_of(q, a.ring.p):
+    _check_q(a.ring, q)
+    if q < a.ring.p:
         raise PreconditionError("q must be a positive power of p (q >= p)")
     if a.is_zero() or a.is_unit() or b.is_zero() or b.is_unit():
         raise PreconditionError("mu/nu need nonzero proper ideals")
@@ -283,15 +284,7 @@ def _reconstruct(
     if best is None:
         return report
     certified = after(best) > hi and not ideal_contains(b, rational_power(a, lo))
-    return TruncationReport(
-        q_list=report.q_list,
-        mu_list=report.mu_list,
-        mu_over_q=report.mu_over_q,
-        interval_low=lo,
-        interval_high=hi,
-        candidate=best,
-        certified_exact=certified,
-    )
+    return replace(report, candidate=best, certified_exact=certified)
 
 
 def crit_reconstruct(
@@ -323,13 +316,5 @@ def lce(a: Ideal, e_max: int, b_max: int = 4, c_max: int = 4) -> TruncationRepor
     q_max, mu_max = report.q_list[-1], report.mu_list[-1]
     sharp_low = Fraction(mu_max, q_max - 1)
     if ideal_contains(maximal, rational_power(a, sharp_low)):
-        return TruncationReport(
-            q_list=report.q_list,
-            mu_list=report.mu_list,
-            mu_over_q=report.mu_over_q,
-            interval_low=report.interval_low,
-            interval_high=report.interval_high,
-            candidate=sharp_low,
-            certified_exact=True,
-        )
+        return replace(report, candidate=sharp_low, certified_exact=True)
     return _reconstruct(a, maximal, report, b_max, c_max, forbidden_cap=e_max)

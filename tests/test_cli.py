@@ -1,10 +1,12 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from frobpow.cli import OUTPUT_SCHEMA, main, parse_input
+from frobpow.cli import COMMANDS, OUTPUT_SCHEMA, build_parser, main, parse_input
 from frobpow.errors import ParseError
 from frobpow.ideal import Ideal
 
@@ -258,3 +260,16 @@ def test_round_trip_printed_ideal_reparses_equal(capsys, m5_path):
     from frobpow.frobpower import rational_power
 
     assert reparsed == rational_power(pf.ideals["a"], Fraction(2, 3))
+
+
+def test_readme_and_tests_cover_the_command_table():
+    # every `frobpow <command> ...` line of README's CLI block parses, and the
+    # lines name exactly the commands of the table; so does ALL_COMMANDS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    argvs = [words[1:] for words in lines if words[:1] == ["frobpow"]]
+    parser = build_parser()
+    assert {parser.parse_args(argv).command for argv in argvs} == set(COMMANDS)
+    assert len(argvs) == len(COMMANDS)
+    assert {argv[0] for argv in ALL_COMMANDS} == set(COMMANDS)
