@@ -10,7 +10,8 @@ A monomial ideal built by :meth:`Ideal.from_monomial` is a view over an
 antichain of :mod:`frobpow.monomial`: it stores no polynomials until
 ``gens`` is read, and every operation below hands monomial inputs to the
 antichain kernel, which is what keeps large-characteristic computations
-fast.  Principal ideals use the identity <f>^{[k]} = <f^k>.
+fast; membership in a monomial ideal is always decided there, term by
+term.  Principal ideals use the identity <f>^{[k]} = <f^k>.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .monomial import (
     MonomialIdeal,
     mono_bracket,
     mono_contains,
+    mono_member,
     mono_power,
     mono_product,
     mono_root,
@@ -156,9 +158,11 @@ class Ideal:
         return self.reduced_basis().polys == other.reduced_basis().polys
 
     def __hash__(self):
+        # Equal ideals have equal initial ideals; a monomial ideal is its own.
         if self.is_monomial:
             return hash(self.to_monomial())
-        return hash(self.reduced_basis().polys)
+        lead = (g.leading_exponent() for g in self.reduced_basis().polys)
+        return hash(MonomialIdeal._build(self.ring, lead))
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) if self.gens else "0"
@@ -208,29 +212,19 @@ def bracket_power(a: Ideal, q: int) -> Ideal:
 
 
 def prune_generators(a: Ideal) -> Ideal:
-    """Drop generators lying inside the monomial part of the other generators.
+    """Drop generators lying inside the ideal of the single-term generators.
 
-    A generator all of whose terms are divisible by some single-term
-    generator is redundant; single-term generators are minimalized among
-    themselves.  Cheap, and usually enough to keep digit products small
+    The single-term generators span a monomial ideal of the kernel; its
+    minimal generators are kept, and so is every generator with a term
+    outside it.  Cheap, and usually enough to keep digit products small
     without a basis computation.
     """
-    from .monomial import minimalize
-
-    monos = minimalize(
-        g.leading_exponent() for g in a.gens if g.is_term()
+    monos = MonomialIdeal._build(
+        a.ring, (g.leading_exponent() for g in a.gens if g.is_term())
     )
-    kept: list[Polynomial] = []
-    for g in a.gens:
-        if g.is_term():
-            if g.leading_exponent() in monos:
-                kept.append(g)
-            continue
-        redundant = all(
-            any(all(x <= y for x, y in zip(v, u)) for v in monos) for u in g.terms
-        )
-        if not redundant:
-            kept.append(g)
+    kept = monos.polynomials() + [
+        g for g in a.gens if not all(mono_member(u, monos) for u in g.terms)
+    ]
     if len(kept) == len(a.gens):
         return a
     return Ideal(a.ring, kept)
@@ -382,14 +376,19 @@ def _root_split(ring: PolyRing, polys: Iterable[Polynomial], q: int) -> Ideal:
 
 
 def ideal_contains(a: Ideal, b: Ideal) -> bool:
-    """Whether a contains b: every generator of b reduces to zero mod a."""
+    """Whether a contains b.  A polynomial lies in a monomial ideal exactly
+    when each of its terms does, so a monomial a is decided by the antichain
+    kernel whatever b is; otherwise b's generators are reduced mod a's basis."""
     _same_ring(a, b)
     if b.is_zero():
         return True
     if a.is_zero():
         return False
-    if a.is_monomial and b.is_monomial:
-        return mono_contains(a.to_monomial(), b.to_monomial())
+    if a.is_monomial:
+        am = a.to_monomial()
+        if b.is_monomial:
+            return mono_contains(am, b.to_monomial())
+        return all(mono_member(u, am) for g in b.gens for u in g.terms)
     gb = a.reduced_basis()
     return all(gb.reduces_to_zero(g) for g in b.gens)
 

@@ -2,10 +2,11 @@
 
 mu(q) is the largest k with a^{[k]} not inside b^{[q]}, equivalently with
 a^{[k/q]} not inside b; on monomial ideals the search tests the second form,
-so it never builds a^{[k]}.  The truncations mu(q)/q increase to the
-critical exponent, and mu(q) = ceil(q*crit) - 1 pins crit inside
-(mu(q)/q, (mu(q)+1)/q].  Reconstruction searches that interval
-for rationals of the shape k/(p^b (p^c - 1)) with user-capped b, c, accepts a
+so it never builds a^{[k]}.  nu(q) for a polynomial f is mu(q) of <f>, whose
+Frobenius powers are the ordinary powers <f^k>.  The truncations mu(q)/q
+increase to the critical exponent, and mu(q) = ceil(q*crit) - 1 pins crit
+inside (mu(q)/q, (mu(q)+1)/q].  Reconstruction searches that interval for
+rationals of the shape k/(p^b (p^c - 1)) with user-capped b, c, accepts a
 candidate when its predicted mu-pattern matches every computed value and its
 Frobenius power lands inside b, and reports the smallest accepted candidate.
 Every rational in the interval predicts the same pattern, so the pattern is
@@ -30,8 +31,8 @@ from typing import Callable
 
 from .errors import PreconditionError, ResourceCapError
 from .frobpower import rational_power
+from .groebner import normal_form
 from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
-from .monomial import mono_member
 from .poly import Polynomial
 
 RADICAL_EXPONENT_CAP = 1 << 10
@@ -56,13 +57,6 @@ class TruncationReport:
     certified_exact: bool
 
 
-def _poly_in_ideal(f: Polynomial, b: Ideal) -> bool:
-    if b.is_monomial:
-        bm = b.to_monomial()
-        return all(mono_member(u, bm) for u in f.terms)
-    return b.reduced_basis().reduces_to_zero(f)
-
-
 def _in_radical(f: Polynomial, b: Ideal) -> bool:
     if b.is_monomial:
         # the radical of a monomial ideal is monomial (supports of the
@@ -72,8 +66,6 @@ def _in_radical(f: Polynomial, b: Ideal) -> bool:
             any(all(u > 0 or v == 0 for u, v in zip(term, gen)) for gen in bm.gens)
             for term in f.terms
         )
-    from .groebner import normal_form
-
     gb = b.reduced_basis()
     w = normal_form(f, gb)
     e = 1
@@ -115,7 +107,8 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
     monotonicity of k -> a^{[k]} makes the predicate monotone.  For a
     monomial a each probe tests a^{[k/q]} inside b instead, which is the same
     question (I is inside J^{[q]} iff I^{[1/q]} is inside J) and never forms
-    a^{[k]}; other ideals test a^{[k]} against b^{[q]}.
+    a^{[k]}; other ideals test a^{[k]} against b^{[q]}, which the antichain
+    kernel decides term by term when b is monomial.
     """
     if not _skip_checks:
         _validate_pair(a, b, q)
@@ -144,18 +137,12 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
 
 
 def nu(f: Polynomial, b: Ideal, q: int) -> int:
-    """max{k : f^k not in b^{[q]}}: the F-threshold numerator for powers of f."""
-    if f.is_zero():
-        raise PreconditionError("nu requires a nonzero polynomial")
-    _validate_pair(Ideal(f.ring, [f]), b, q)
-    if not _in_radical(f, b):
-        raise PreconditionError("f is not in the radical of b")
-    bq = bracket_power(b, q)
+    """max{k : f^k not in b^{[q]}}: the F-threshold numerator for powers of f.
 
-    def outside(k: int) -> bool:
-        return not _poly_in_ideal(f**k, bq)
-
-    return _last_outside(outside, 0, 1)
+    This is mu of the principal ideal <f>, whose Frobenius powers are the
+    ordinary powers <f^k>.
+    """
+    return mu(Ideal(f.ring, [f]), b, q)
 
 
 def _last_outside(outside: Callable[[int], bool], lo: int, hi: int) -> int:

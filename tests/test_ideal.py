@@ -16,6 +16,7 @@ from frobpow.ideal import (
     ideal_power,
     ideal_product,
     ideal_sum,
+    prune_generators,
 )
 from frobpow.monomial import MonomialIdeal, mono_contains
 from frobpow.poly import PolyRing
@@ -388,3 +389,101 @@ def test_rooted_power_skips_the_overflowing_full_power():
     for a in (monomial, general):
         with pytest.raises(ExponentOverflowError):
             frob_power_int(a, 2**23)
+
+
+# -- membership in a monomial ideal, generator pruning, hashing ---------------------
+
+
+def _divides(v, u):
+    return all(a <= b for a, b in zip(v, u))
+
+
+@st.composite
+def membership_cases(draw):
+    """(a, b): a monomial ideal in 2 or 3 variables and a polynomial ideal
+    whose generators mix multiples of a's generators with random terms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolyRing(p, ("x", "y", "z")[:n])
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    am = MonomialIdeal(R, draw(st.lists(exps, min_size=1, max_size=4)))
+
+    def term():
+        if draw(st.booleans()):
+            base = draw(st.sampled_from(am.gens))
+            return tuple(e + s for e, s in zip(base, draw(exps)))
+        return draw(exps)
+
+    coeffs = st.integers(1, p - 1)
+    gens = [
+        R.poly((term(), draw(coeffs)) for _ in range(draw(st.integers(1, 4))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return Ideal.from_monomial(am), Ideal(R, gens)
+
+
+@given(case=membership_cases())
+def test_monomial_container_decides_like_the_groebner_route(case):
+    a, b = case
+    gb = a.reduced_basis()
+    assert ideal_contains(a, b) == all(gb.reduces_to_zero(g) for g in b.gens)
+
+
+def test_monomial_container_never_computes_a_basis(monkeypatch):
+    def refuse(self, order=None):
+        raise AssertionError("reduced_basis called")
+
+    monkeypatch.setattr(Ideal, "reduced_basis", refuse)
+    R3 = PolyRing(3, ("x", "y", "z"))
+    a3 = ideal(R3, "x^2", "y*z")
+    assert ideal_contains(a3, ideal(R3, "x^3+y^2*z^2", "x^2*y+2*x*y*z"))
+    assert not ideal_contains(a3, ideal(R3, "x^2+y", "x^2*z"))
+    R2 = ring2(5)
+    a2 = ideal(R2, "x^5", "y^5")
+    assert ideal_contains(a2, ideal(R2, "x^7+x^2*y^6", "y^5"))
+    assert not ideal_contains(a2, ideal(R2, "x^4*y^4+x^5"))
+
+
+def test_prune_generators_example():
+    R = ring2(3)
+    a = ideal(R, "x^2", "x^3", "y^2", "x^2*y+y^3", "x+y^5")
+    assert prune_generators(a).gens == ideal(R, "x^2", "y^2", "x+y^5").gens
+    kept = ideal(R, "x^2", "x*y+y^3")
+    assert prune_generators(kept) is kept
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prune_generators_drops_exactly_the_covered_generators(n):
+    rng = random.Random(20 + n)
+    for p in (2, 3, 5):
+        R = PolyRing(p, ("x", "y", "z")[:n])
+        for _ in range(40):
+            monos = [
+                R.monomial(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 4))
+            ]
+            a = Ideal(R, monos + [random_poly(rng, R) for _ in range(4)])
+            pruned = prune_generators(a)
+            assert pruned == a
+            terms = [g.leading_exponent() for g in a.gens if g.is_term()]
+            minimal = {u for u in terms if not any(_divides(v, u) for v in terms if v != u)}
+            for g in a.gens:
+                if g.is_term():
+                    assert (g in pruned.gens) == (g.leading_exponent() in minimal)
+                else:
+                    covered = all(any(_divides(v, u) for v in terms) for u in g.terms)
+                    assert (g in pruned.gens) != covered
+
+
+def test_equal_ideals_hash_equal_in_both_representations():
+    R = ring2(3)
+    general, monomial = ideal(R, "x+y", "y"), ideal(R, "x", "y")
+    view = Ideal.from_monomial(monomial.to_monomial())
+    assert not general.is_monomial and monomial.is_monomial
+    assert general == monomial == view
+    assert hash(general) == hash(monomial) == hash(view)
+    assert len({general, monomial, view}) == 1
+    # a non-monomial ideal from two generating sets
+    f, g = ideal(R, "x^2+y^2", "x*y"), ideal(R, "x^2+x*y+y^2", "x*y", "y^3")
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert len({f, general}) == 2

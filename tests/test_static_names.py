@@ -1,5 +1,6 @@
-"""Static name checks: every global a function reads exists, and every
-private module-level function has a caller.
+"""Static name checks: every global a function reads exists, every
+private module-level function has a caller, and every import between
+package modules goes down the layer stack.
 
 No linter ships with the project, so this walks each module's symbol table
 with the stdlib ``symtable`` and flags free names that are neither defined
@@ -18,6 +19,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "frobpow"
 MODULES = sorted(SRC.glob("*.py"))
+# The package's layers, bottom first; ``__init__`` re-exports from all of them.
+LAYERS = (
+    ("errors",),
+    ("arith",),
+    ("poly",),
+    ("groebner", "monomial"),
+    ("ideal",),
+    ("frobpower",),
+    ("thresholds", "generic"),
+    ("cli",),
+)
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 
 
 def unresolved_globals(source: str, filename: str) -> list[str]:
@@ -72,6 +85,31 @@ def orphaned_private_functions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _package_modules(node: ast.AST) -> list[str]:
+    """The package modules an import statement names, without the prefix."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = ".".join(filter(None, ["frobpow" if node.level else "", node.module]))
+        names = [f"{module}.{a.name}" for a in node.names] if module == "frobpow" else [module]
+    else:
+        return []
+    return [n.split(".")[1] for n in names if n.startswith("frobpow.")]
+
+
+def imports_not_going_down(sources: dict[str, str]) -> list[str]:
+    """``importer -> imported`` for each import of one package module by
+    another, at module level or inside a function, whose target is not in a
+    lower layer than the importer (a module missing from LAYERS has none)."""
+    return [
+        f"{name} -> {target}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        for target in _package_modules(node)
+        if RANK.get(target, len(LAYERS)) >= RANK.get(name, -1)
+    ]
+
+
 def test_modules_found():
     assert {"ideal.py", "frobpower.py", "thresholds.py"} <= {m.name for m in MODULES}
 
@@ -104,3 +142,26 @@ def test_guard_flags_an_orphaned_private_function():
         "c": "from . import a\n\ndef _helper():\n    return a._used()\n\nVALUE = _helper()\n",
     }
     assert orphaned_private_functions(sources) == ["a._orphan"]
+
+
+def test_layers_name_every_module():
+    assert {path.stem for path in MODULES} - {"__init__"} == set(RANK)
+
+
+def test_imports_go_down_the_layer_stack():
+    sources = {path.stem: path.read_text() for path in MODULES if path.stem != "__init__"}
+    assert imports_not_going_down(sources) == []
+
+
+def test_guard_flags_an_import_up_or_across_the_stack():
+    sources = {
+        "poly": "from .arith import base_p_digits\nfrom . import errors\n",
+        "ideal": "def f():\n    from .thresholds import mu\n    return mu\n",
+        "generic": "import frobpow.thresholds\nfrom frobpow.monomial import mono_member\n",
+        "thresholds": "from .newmodule import helper\n",
+    }
+    assert imports_not_going_down(sources) == [
+        "ideal -> thresholds",
+        "generic -> thresholds",
+        "thresholds -> newmodule",
+    ]

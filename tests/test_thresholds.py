@@ -71,6 +71,18 @@ def test_nu_examples():
     assert nu(R3.parse("x*y"), maximal(R3), 3) == 2
 
 
+def test_nu_rejects_bad_inputs():
+    # nu is mu of <f>: mu's checks and messages
+    R = ring2(3)
+    m = maximal(R)
+    with pytest.raises(PreconditionError, match="nonzero proper ideals"):
+        nu(R.zero(), m, 3)
+    with pytest.raises(PreconditionError, match="not in the radical of b"):
+        nu(R.parse("x+1"), m, 3)
+    with pytest.raises(PreconditionError, match="not a power of p"):
+        nu(R.var("x"), m, 4)
+
+
 def test_nu_against_brute_force_expansion():
     # independent oracle: literally expand f^k and test term membership
     R = ring2(5)
