@@ -5,12 +5,17 @@ F4/F5.  Inputs are desk scale and the priority is determinism: a fixed order
 and generator list always produce the bit-identical reduced basis, so reduced
 bases double as canonical forms for ideal equality.
 
-The engine works on raw term dictionaries; the ideal-level wrappers
-(containment, equality, elimination) live in :mod:`frobpow.ideal`.
+The engine works on raw term dictionaries.  Each basis element travels as a
+reducer, its leading exponent beside its monic term dict, from the moment
+:func:`_monic` finds the lead until :class:`GroebnerBasis` hands it out, and
+each S-pair's sort key is computed once, when the pair is made.  The
+ideal-level wrappers (containment, equality, elimination) live in
+:mod:`frobpow.ideal`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -56,52 +61,58 @@ def _reduce_full(f: Terms, reducers: Sequence[_Reducer], p: int, key) -> Terms:
     return result
 
 
-def _monic(f: Terms, p: int, key) -> Terms:
-    lc = f[max(f, key=key)]
-    if lc == 1:
-        return f
-    inv = pow(lc, p - 2, p)
-    return {m: (c * inv) % p for m, c in f.items()}
+def _monic(f: Terms, p: int, key) -> _Reducer:
+    """The reducer of f: its lead and f scaled to leading coefficient 1."""
+    lead = max(f, key=key)
+    lc = f[lead]
+    if lc != 1:
+        inv = pow(lc, p - 2, p)
+        f = {m: (c * inv) % p for m, c in f.items()}
+    return lead, f
 
 
-def _reducers(polys: Sequence[Terms], key) -> list[_Reducer]:
-    """Reducers for monic polynomials, sorted by lead."""
-    return sorted(((max(g, key=key), g) for g in polys), key=lambda t: key(t[0]))
-
-
-def _buchberger(gens: list[Terms], p: int, key) -> list[Terms]:
-    """Reduced Groebner basis of the given generators (raw dict form)."""
-    G: list[Terms] = []
+def _buchberger(gens: list[Terms], p: int, key) -> list[_Reducer]:
+    """Reduced Groebner basis of the given generators, as reducers."""
+    first: list[_Reducer] = []
     seen = set()
     for f in gens:
         if not f:
             continue
-        f = _monic(f, p, key)
-        fk = frozenset(f.items())
+        g = _monic(f, p, key)
+        fk = frozenset(g[1].items())
         if fk not in seen:
             seen.add(fk)
-            G.append(f)
-    G.sort(key=lambda f: key(max(f, key=key)))
-    if not G:
-        return []
-    lms = [max(f, key=key) for f in G]
-    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+            first.append(g)
+    first.sort(key=lambda g: key(g[0]))
+    G: list[_Reducer] = []  # in insertion order; pairs index into it
+    reducers: list[_Reducer] = []  # the same elements, sorted by lead
+    # (i, j) -> (key(lcm), (i, j), lcm): the minimum is the next pair
+    pending: dict[tuple[int, int], tuple] = {}
 
-    def lcm(i: int, j: int) -> Exponent:
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+    def add(g: _Reducer):
+        new = len(G)
+        for k, (lk, _) in enumerate(G):
+            lcm = tuple(max(a, b) for a, b in zip(lk, g[0]))
+            pending[k, new] = (key(lcm), (k, new), lcm)
+        G.append(g)
+        # The first elements arrive sorted, and a fully reduced remainder's
+        # lead equals no earlier lead, so this is the place a stable sort of
+        # G by lead would give it.
+        insort(reducers, g, key=lambda r: key(r[0]))
 
+    for g in first:
+        add(g)
     while pending:
-        i, j = min(pending, key=lambda ij: (key(lcm(*ij)), ij))
-        pending.discard((i, j))
-        lij = lcm(i, j)
+        _, (i, j), lij = min(pending.values())
+        del pending[i, j]
         # Product criterion: coprime leads always reduce to zero.
-        if all(a + b == c for a, b, c in zip(lms[i], lms[j], lij)):
+        if all(a + b == c for a, b, c in zip(G[i][0], G[j][0], lij)):
             continue
         # Chain criterion: some third lead divides the lcm and both linking
         # pairs are already handled.
         skip = False
-        for k in range(len(G)):
-            if k != i and k != j and all(a <= b for a, b in zip(lms[k], lij)):
+        for k, (lk, _) in enumerate(G):
+            if k != i and k != j and all(a <= b for a, b in zip(lk, lij)):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -110,86 +121,61 @@ def _buchberger(gens: list[Terms], p: int, key) -> list[Terms]:
         if skip:
             continue
         s: Terms = {}
-        for idx, sign in ((i, 1), (j, -1)):
-            shift = tuple(a - b for a, b in zip(lij, lms[idx]))
-            for gm, gc in G[idx].items():
+        for (lm, g), sign in ((G[i], 1), (G[j], -1)):
+            shift = tuple(a - b for a, b in zip(lij, lm))
+            for gm, gc in g.items():
                 nm = tuple(a + b for a, b in zip(gm, shift))
                 nc = (s.get(nm, 0) + sign * gc) % p
                 if nc:
                     s[nm] = nc
                 elif nm in s:
                     del s[nm]
-        r = _reduce_full(s, _reducers(G, key), p, key)
+        r = _reduce_full(s, reducers, p, key)
         if r:
-            G.append(_monic(r, p, key))
-            lms.append(max(r, key=key))
-            new = len(G) - 1
-            pending.update((k, new) for k in range(new))
-    return _interreduce(G, p, key)
+            add(_monic(r, p, key))
+    return _interreduce(reducers, p, key)
 
 
-def _interreduce(G: list[Terms], p: int, key) -> list[Terms]:
-    """Prune to the reduced basis: minimal leads, fully reduced tails."""
-    order_idx = sorted(range(len(G)), key=lambda i: (key(max(G[i], key=key)), i))
-    kept: list[Terms] = []
-    kept_lms: list[Exponent] = []
-    for i in order_idx:
-        lm = max(G[i], key=key)
-        if any(all(a <= b for a, b in zip(v, lm)) for v in kept_lms):
-            continue
-        kept.append(G[i])
-        kept_lms.append(lm)
-    out: list[Terms] = []
-    for i, f in enumerate(kept):
-        others = _reducers([g for j, g in enumerate(kept) if j != i], key)
-        r = _reduce_full(f, others, p, key)
-        if r:
-            out.append(_monic(r, p, key))
-    out.sort(key=lambda f: key(max(f, key=key)))
-    return out
+def _interreduce(reducers: list[_Reducer], p: int, key) -> list[_Reducer]:
+    """Prune reducers sorted by lead to the reduced basis, in the same order.
+
+    A kept lead divides no other kept lead, so reducing a kept element by
+    the others leaves its leading term, and the result is monic with the
+    same lead.
+    """
+    kept: list[_Reducer] = []
+    for lm, f in reducers:
+        if not any(all(a <= b for a, b in zip(v, lm)) for v, _ in kept):
+            kept.append((lm, f))
+    return [
+        (lm, _reduce_full(f, kept[:i] + kept[i + 1 :], p, key))
+        for i, (lm, f) in enumerate(kept)
+    ]
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, interreduced, canonically sorted."""
+    """Reduced Groebner basis: monic, interreduced, sorted by ascending lead.
 
-    __slots__ = ("ring", "order", "polys", "_table")
+    ``reducers`` holds each element as (lead, term dict); ``polys`` holds the
+    same elements as polynomials.
+    """
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, polys: tuple[Polynomial, ...]):
+    __slots__ = ("ring", "order", "reducers", "polys")
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder, reducers: Sequence[_Reducer]):
         self.ring = ring
         self.order = order
-        self.polys = polys
-        self._table = None
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.ring == other.ring
-            and self.order == other.order
-            and self.polys == other.polys
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.order, self.polys))
+        self.reducers = tuple(reducers)
+        self.polys = tuple(Polynomial(ring, f, _canonical=True) for _, f in reducers)
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
 
-    def is_zero(self) -> bool:
-        return not self.polys
-
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant()
 
-    def reducers(self) -> list[_Reducer]:
-        if self._table is None:
-            self._table = _reducers([g.terms for g in self.polys], self.order.sort_key())
-        return self._table
-
     def reduces_to_zero(self, f: Polynomial) -> bool:
-        return not _reduce_full(dict(f.terms), self.reducers(), self.ring.p, self.order.sort_key())
+        return not _reduce_full(dict(f.terms), self.reducers, self.ring.p, self.order.sort_key())
 
 
 def groebner_basis(
@@ -207,15 +193,13 @@ def groebner_basis(
         if g.ring != ring:
             raise PreconditionError("generators live in different rings")
     order = order or ring.order
-    key = order.sort_key()
-    raw = _buchberger([dict(g.terms) for g in gens], ring.p, key)
-    polys = tuple(Polynomial(ring, f, _canonical=True) for f in raw)
-    return GroebnerBasis(ring=ring, order=order, polys=polys)
+    reducers = _buchberger([dict(g.terms) for g in gens], ring.p, order.sort_key())
+    return GroebnerBasis(ring, order, reducers)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique remainder of f modulo gb; zero exactly on ideal members."""
     if f.ring != gb.ring:
         raise PreconditionError("polynomial and basis live in different rings")
-    r = _reduce_full(dict(f.terms), gb.reducers(), f.ring.p, gb.order.sort_key())
+    r = _reduce_full(dict(f.terms), gb.reducers, f.ring.p, gb.order.sort_key())
     return Polynomial(f.ring, r, _canonical=True)

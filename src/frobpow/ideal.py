@@ -139,12 +139,7 @@ class Ideal:
         """Reduced basis for general ideals, minimal generators for monomial ones."""
         if self.is_monomial:
             return self.to_monomial().polynomials()
-        key = self.ring.sort_key()
-        return sorted(
-            self.reduced_basis().polys,
-            key=lambda g: key(g.leading_exponent(key)),
-            reverse=True,
-        )
+        return list(reversed(self.reduced_basis().polys))
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -161,7 +156,7 @@ class Ideal:
         # Equal ideals have equal initial ideals; a monomial ideal is its own.
         if self.is_monomial:
             return hash(self.to_monomial())
-        lead = (g.leading_exponent() for g in self.reduced_basis().polys)
+        lead = (lm for lm, _ in self.reduced_basis().reducers)
         return hash(MonomialIdeal._build(self.ring, lead))
 
     def __repr__(self):

@@ -420,6 +420,8 @@ def newton_jump_candidates(a: MonomialIdeal, limit: Fraction) -> list[Fraction]:
     """
     if a.ring.nvars != 2:
         raise PreconditionError("jump candidates implemented for two variables")
+    if a.is_zero():
+        raise PreconditionError("newton_jump_candidates requires a nonzero ideal")
     facets = _newton_facets(a)
     max_norm = max(sum(u) for u in a.gens)
     bound = ceil_fraction(limit * max_norm) + 2

@@ -204,7 +204,9 @@ class Polynomial:
         if self.ring != other.ring:
             raise PreconditionError("polynomials live in different rings")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, int):
+            other = self.ring.const(other)
         self._check_ring(other)
         p = self.ring.p
         acc = dict(self.terms)
@@ -216,14 +218,19 @@ class Polynomial:
                 del acc[u]
         return Polynomial(self.ring, acc, _canonical=True)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Polynomial":
         p = self.ring.p
         return Polynomial(
             self.ring, {u: p - c for u, c in self.terms.items()}, _canonical=True
         )
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         return self + (-other)
+
+    def __rsub__(self, other: int) -> "Polynomial":
+        return -self + other
 
     def scale(self, c: int) -> "Polynomial":
         c %= self.ring.p

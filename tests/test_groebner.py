@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from frobpow.groebner import groebner_basis, normal_form
 from frobpow.ideal import Ideal, eliminate, ideal_contains
@@ -9,6 +10,7 @@ from frobpow.poly import MonomialOrder, PolyRing
 from helpers import ideal, maximal, random_poly, ring2
 
 LEX = MonomialOrder.lex()
+ORDERS = [MonomialOrder.grevlex(), LEX, MonomialOrder.elimination([0])]
 
 
 def test_basis_of_principal_ideal():
@@ -75,6 +77,32 @@ def test_membership_of_explicit_combinations(p):
         for g in gens:
             witness = witness + random_poly(rng, R, max_terms=3) * g
         assert normal_form(witness, gb).is_zero()
+
+
+@st.composite
+def basis_cases(draw):
+    """(ring, generators): 2 or 3 variables, p in {2, 3, 5}, each order."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolyRing(p, ("x", "y", "z")[:n], draw(st.sampled_from(ORDERS)))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(1, p - 1))
+    polys = st.lists(term, min_size=1, max_size=3).map(R.poly)
+    return R, draw(st.lists(polys, min_size=1, max_size=3))
+
+
+@given(case=basis_cases())
+def test_basis_carries_its_leads_in_ascending_order(case):
+    R, gens = case
+    gb = groebner_basis(gens)
+    key = R.sort_key()
+    leads = [lm for lm, _ in gb.reducers]
+    assert leads == [g.leading_exponent(key) for g in gb.polys]
+    assert all(g.terms[lm] == 1 for lm, g in zip(leads, gb.polys))
+    assert all(key(a) < key(b) for a, b in zip(leads, leads[1:]))
+    for i, a in enumerate(leads):
+        for j, b in enumerate(leads):
+            assert i == j or not all(x <= y for x, y in zip(a, b))
+    assert Ideal(R, gens).canonical_generators() == list(reversed(gb.polys))
 
 
 def test_determinism_and_input_order_independence():

@@ -12,6 +12,7 @@ sympy = pytest.importorskip("sympy")
 
 from frobpow.groebner import groebner_basis
 from frobpow.poly import MonomialOrder, PolyRing
+from sympy.polys.orderings import ProductOrder, grevlex
 
 
 def to_sympy(f, syms):
@@ -29,6 +30,19 @@ def from_sympy(expr, ring, syms):
     return ring.poly([(m, int(c) % ring.p) for m, c in poly.terms()])
 
 
+# our order and sympy's for each order the engine runs; the block order is
+# the one `eliminate` uses to drop x.  Every random ideal is checked in all
+# three.
+ORDERS = {
+    "grevlex": (MonomialOrder.grevlex(), "grevlex"),
+    "lex": (MonomialOrder.lex(), "lex"),
+    "block": (
+        MonomialOrder.elimination([0]),
+        ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])),
+    ),
+}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_bases_match_sympy(p):
     syms = sympy.symbols("x y z")
@@ -44,12 +58,13 @@ def test_reduced_bases_match_sympy(p):
             gens.append(ring.poly(terms))
         if all(g.is_zero() for g in gens):
             continue
-        ours = sorted(str(g) for g in groebner_basis(gens, MonomialOrder.grevlex()).polys)
-        theirs = sympy.groebner(
-            [to_sympy(g, syms) for g in gens if not g.is_zero()],
-            *syms,
-            modulus=p,
-            order="grevlex",
-        )
-        converted = sorted(str(from_sympy(e, ring, syms)) for e in theirs.exprs)
-        assert ours == converted
+        for name, (order, sympy_order) in ORDERS.items():
+            ours = sorted(str(g) for g in groebner_basis(gens, order).polys)
+            theirs = sympy.groebner(
+                [to_sympy(g, syms) for g in gens if not g.is_zero()],
+                *syms,
+                modulus=p,
+                order=sympy_order,
+            )
+            converted = sorted(str(from_sympy(e, ring, syms)) for e in theirs.exprs)
+            assert ours == converted, name

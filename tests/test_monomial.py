@@ -354,6 +354,11 @@ def test_newton_oracles_scale_with_ideal_powers(exps, k, t):
     assert newton_tau(ak, t) == newton_tau(a, k * t)
 
 
+def test_jump_candidates_reject_the_zero_ideal():
+    with pytest.raises(PreconditionError):
+        newton_jump_candidates(MonomialIdeal(ring2(3), []), Fraction(2))
+
+
 def test_tau_right_constant_between_jump_candidates():
     R = ring2(3)
     rng = random.Random(21)

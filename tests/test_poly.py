@@ -38,6 +38,17 @@ def test_field_arithmetic():
     assert R.const(10).is_zero()
 
 
+def test_int_operands_match_parse():
+    R = ring2(5)
+    x = R.var("x")
+    assert x + 1 == 1 + x == R.parse("x + 1")
+    assert x - 1 == R.parse("x - 1")
+    assert 1 - x == R.parse("1 - x")
+    assert 7 - x == R.parse("2 - x")
+    assert x + 5 == x - 10 == x
+    assert x * 2 == 2 * x == R.parse("2*x")
+
+
 # -- canonicalization -----------------------------------------------------------
 
 
