@@ -17,6 +17,7 @@ term.  Principal ideals use the identity <f>^{[k]} = <f^k>.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable
 
 from .arith import base_p_digits, is_power_of, multinomial_nonzero_mod_p
@@ -50,23 +51,33 @@ class Ideal:
     __slots__ = ("ring", "_gens", "_cache", "_mono")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
-        key = ring.sort_key()
-        cleaned: dict = {}
+        key, desc = ring.sort_key(), ring.order.descending_key()
+        p = ring.p
+        monic: list[tuple[tuple, Polynomial]] = []
         for g in gens:
             if g.ring != ring:
                 raise PreconditionError("generator lives in a different ring")
-            if g.is_zero():
+            terms = g.terms
+            if not terms:
                 continue
-            g = g.monic()
-            cleaned[frozenset(g.terms.items())] = g
-        self.ring = ring
-        self._gens = tuple(
-            sorted(
-                cleaned.values(),
-                key=lambda g: (key(g.leading_exponent(key)), sorted(g.terms.items())),
+            lead = min(terms, key=desc)
+            lc = terms[lead]
+            if lc != 1:
+                inv = pow(lc, p - 2, p)
+                g = Polynomial(ring, {m: (c * inv) % p for m, c in terms.items()}, _canonical=True)
+            monic.append((key(lead), g))
+        monic.sort(key=itemgetter(0), reverse=True)
+        # Equal generators share a lead, so only a tie on leads can hide a
+        # repeat or need the terms to break it.
+        if any(a[0] == b[0] for a, b in zip(monic, monic[1:])):
+            unique = {frozenset(g.terms.items()): (k, g) for k, g in monic}
+            monic = sorted(
+                unique.values(),
+                key=lambda e: (e[0], sorted(e[1].terms.items())),
                 reverse=True,
             )
-        )
+        self.ring = ring
+        self._gens = tuple(g for _, g in monic)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._mono: MonomialIdeal | None = None
 

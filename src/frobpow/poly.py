@@ -16,6 +16,7 @@ variable factors ``var`` or ``var^exp`` joined by '*'.  Examples::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, neg
 from typing import Callable, Iterable
 
 from .arith import MAX_EXPONENT, base_p_digits, is_prime
@@ -28,7 +29,8 @@ from .errors import (
 
 Exponent = tuple[int, ...]
 
-_GREVLEX_KEY = lambda u: (sum(u), tuple(-e for e in reversed(u)))
+_GREVLEX_KEY = lambda u: (sum(u), tuple(map(neg, reversed(u))))
+_GREVLEX_DESCENDING = lambda u: (-sum(u), u[::-1])
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,26 @@ class MonomialOrder:
 
     def sort_key(self) -> Callable[[Exponent], tuple]:
         """Key function; larger keys correspond to larger monomials."""
+        return self._key(lambda u: u, _GREVLEX_KEY)
+
+    def descending_key(self) -> Callable[[Exponent], tuple]:
+        """Key function reversing :meth:`sort_key`: smaller keys correspond to
+        larger monomials, so ``min`` and a heap yield the largest first."""
+        return self._key(lambda u: tuple(map(neg, u)), _GREVLEX_DESCENDING)
+
+    def _key(self, lex, grevlex):
+        """This order's key, from a lex key and a grevlex key for one block."""
         if self.kind == "lex":
-            return lambda u: u
+            return lex
         if self.kind == "grevlex":
-            return _GREVLEX_KEY
+            return grevlex
         if self.kind == "block":
             lead = self.lead
 
-            def key(u: Exponent, _lead=lead):
-                head = tuple(u[i] for i in _lead)
-                tail = tuple(e for i, e in enumerate(u) if i not in _lead)
-                return (_GREVLEX_KEY(head), _GREVLEX_KEY(tail))
+            def key(u: Exponent):
+                head = tuple(u[i] for i in lead)
+                tail = tuple(e for i, e in enumerate(u) if i not in lead)
+                return (grevlex(head), grevlex(tail))
 
             return key
         raise PreconditionError(f"unknown monomial order kind {self.kind!r}")
@@ -207,6 +218,8 @@ class Polynomial:
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
             other = self.ring.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         p = self.ring.p
         acc = dict(self.terms)
@@ -227,9 +240,13 @@ class Polynomial:
         )
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Polynomial":
+        if not isinstance(other, int):
+            return NotImplemented
         return -self + other
 
     def scale(self, c: int) -> "Polynomial":
@@ -244,22 +261,27 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         p = self.ring.p
         acc: dict[Exponent, int] = {}
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
+        # Over a domain deg_i(fg) = deg_i(f) + deg_i(g), so the product
+        # overflows exactly when some variable's degrees sum past the bound.
+        top = map(add, map(max, zip(*small)), map(max, zip(*big)))
+        if max(top, default=0) > MAX_EXPONENT:
+            raise ExponentOverflowError("product exponent exceeds 64-bit bound")
         for u, cu in small.items():
             for v, cv in big.items():
-                w = tuple(a + b for a, b in zip(u, v))
+                w = tuple(map(add, u, v))
                 s = (acc.get(w, 0) + cu * cv) % p
                 if s:
                     acc[w] = s
                 elif w in acc:
                     del acc[w]
-        if acc and any(e > MAX_EXPONENT for w in acc for e in w):
-            raise ExponentOverflowError("product exponent exceeds 64-bit bound")
         return Polynomial(self.ring, acc, _canonical=True)
 
     __rmul__ = __mul__

@@ -120,6 +120,41 @@ def in_newton(facets, w, t, strict):
     return all(den * sum(map(operator.mul, alpha, w)) >= num * c for alpha, c in facets)
 
 
+def reduce_full_reference(f, reducers, p, key):
+    """Full normal form of the term dict f by monic (lead, terms) reducers,
+    ``key`` the order's ascending sort key.
+
+    Each step rescans the work dict for its largest term and divides it by
+    the first reducer whose lead divides it.  The Groebner engine once
+    reduced this way; kept as the reference for its heap division.
+    """
+    result = {}
+    work = dict(f)
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        hit = None
+        for lm, g in reducers:
+            if all(a <= b for a, b in zip(lm, m)):
+                hit = (lm, g)
+                break
+        if hit is None:
+            result[m] = c
+            continue
+        lm, g = hit
+        shift = tuple(b - a for a, b in zip(lm, m))
+        for gm, gc in g.items():
+            if gm == lm:
+                continue
+            nm = tuple(a + b for a, b in zip(gm, shift))
+            nc = (work.get(nm, 0) - c * gc) % p
+            if nc:
+                work[nm] = nc
+            elif nm in work:
+                del work[nm]
+    return result
+
+
 def newton_member_fm(a, w, scale, strict):
     """w/scale in the Newton polyhedron of a (interior when strict).
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from frobpow.errors import PreconditionError
 from frobpow.frobpower import rational_power
@@ -62,6 +63,26 @@ def test_principal_power_oracle_examples():
     f = R3.parse("x^2+y^3")
     for t in (Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)):
         assert principal_power_oracle([f], t) == rational_power(Ideal(R3, [f]), t)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(generators, t): 2-3 generators of 1-3 terms and degree <= 6 in two
+    variables, some generator not a term, p in {2, 3, 5}, t in (0, 1) with
+    denominator <= 10."""
+    R = ring2(draw(st.sampled_from([2, 3, 5])))
+    exponent = st.integers(0, 6).flatmap(lambda d: st.integers(0, d).map(lambda i: (i, d - i)))
+    term = st.tuples(exponent, st.integers(1, R.p - 1))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=3).map(R.poly), min_size=2, max_size=3))
+    assume(all(not g.is_zero() for g in gens) and not all(g.is_term() for g in gens))
+    den = draw(st.integers(2, 10))
+    return gens, Fraction(draw(st.integers(1, den - 1)), den)
+
+
+@given(case=oracle_cases())
+def test_principal_power_oracle_matches_rational_power(case):
+    gens, t = case
+    assert principal_power_oracle(gens, t) == rational_power(Ideal(gens[0].ring, gens), t)
 
 
 def test_principal_power_oracle_domain():

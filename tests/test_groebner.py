@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from frobpow.groebner import groebner_basis, normal_form
+from frobpow.groebner import _monic, _reduce_full, groebner_basis, normal_form
 from frobpow.ideal import Ideal, eliminate, ideal_contains
 from frobpow.poly import MonomialOrder, PolyRing
 
-from helpers import ideal, maximal, random_poly, ring2
+from helpers import ideal, maximal, random_poly, reduce_full_reference, ring2
 
 LEX = MonomialOrder.lex()
 ORDERS = [MonomialOrder.grevlex(), LEX, MonomialOrder.elimination([0])]
@@ -103,6 +103,35 @@ def test_basis_carries_its_leads_in_ascending_order(case):
         for j, b in enumerate(leads):
             assert i == j or not all(x <= y for x, y in zip(a, b))
     assert Ideal(R, gens).canonical_generators() == list(reversed(gb.polys))
+
+
+@given(case=basis_cases(), data=st.data())
+def test_heap_division_matches_the_rescanning_reference(case, data):
+    """The engine's remainders equal the max-scan division's, both by a
+    reduced basis and by the generators themselves (not a basis, so which
+    reducer divides first matters)."""
+    R, gens = case
+    key, desc = R.sort_key(), R.order.descending_key()
+    p = R.p
+    raw = sorted(
+        (_monic(dict(g.terms), p, desc) for g in gens if not g.is_zero()),
+        key=lambda r: key(r[0]),
+    )
+    term = st.tuples(st.tuples(*[st.integers(0, 5)] * R.nvars), st.integers(1, p - 1))
+    for reducers in (groebner_basis(gens).reducers, raw):
+        f = data.draw(st.lists(term, max_size=6).map(R.poly)).terms
+        assert _reduce_full(f, reducers, p, desc) == reduce_full_reference(f, reducers, p, key)
+
+
+@given(
+    order=st.sampled_from(ORDERS),
+    pair=st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 4)] * n)] * 2)),
+)
+def test_descending_key_reverses_the_sort_key(order, pair):
+    u, v = pair
+    key, desc = order.sort_key(), order.descending_key()
+    assert (desc(u) < desc(v)) == (key(u) > key(v))
+    assert (desc(u) == desc(v)) == (u == v)
 
 
 def test_determinism_and_input_order_independence():

@@ -49,6 +49,23 @@ def test_int_operands_match_parse():
     assert x * 2 == 2 * x == R.parse("2*x")
 
 
+@pytest.mark.parametrize("other", [1.5, "a", None])
+def test_other_operands_raise_type_error(other):
+    x = ring2(3).var("x")
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(x, op)(other) is NotImplemented
+    for expr in (
+        lambda: x + other,
+        lambda: other + x,
+        lambda: x - other,
+        lambda: other - x,
+        lambda: x * other,
+        lambda: other * x,
+    ):
+        with pytest.raises(TypeError):
+            expr()
+
+
 # -- canonicalization -----------------------------------------------------------
 
 
@@ -141,6 +158,14 @@ def test_mul_overflow_detected():
     f = R.monomial((2**62, 0))
     with pytest.raises(ExponentOverflowError):
         f * f
+
+
+def test_mul_overflow_is_checked_per_variable():
+    R = ring2(2)
+    big = 2**62
+    assert (R.monomial((big, 0)) * R.monomial((0, big))).terms == {(big, big): 1}
+    with pytest.raises(ExponentOverflowError):
+        R.parse(f"x^{big} + y") * R.parse(f"x^{big} + 1")
 
 
 def test_frobenius_scale_overflow():

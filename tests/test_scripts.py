@@ -81,3 +81,11 @@ def test_closure_comparison_output_is_unchanged():
 
 def test_lce_survey_output_is_unchanged():
     assert run_script("lce_survey.py", "5") == LCE_SURVEY_5
+
+
+def test_profile_workload_prints_a_profile():
+    out = run_script("profile_workload.py", "crit-monomial", "1", "5")
+    lines = out.splitlines()
+    assert lines[0].startswith("crit-monomial, seed 1: ") and lines[0].endswith(" tasks, one pass")
+    assert "Ordered by: cumulative time" in out
+    assert "frobpow" in out
