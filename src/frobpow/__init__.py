@@ -16,8 +16,8 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .frobpower import StepFunction, jumps_scan, p_rational_power, rational_power, skoda_split
-from .generic import ExtendedRingContext, principal_power_oracle, stratify, tau_generic
+from .frobpower import StepFunction, jumps_scan, rational_power, skoda_split
+from .generic import principal_power_oracle, stratify, tau_generic
 from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .ideal import (
     Ideal,
@@ -44,7 +44,6 @@ __all__ = [
     "crit_truncations",
     "eliminate",
     "ExponentOverflowError",
-    "ExtendedRingContext",
     "frob_power_int",
     "frob_power_int_gens",
     "frob_root",
@@ -69,7 +68,6 @@ __all__ = [
     "normal_form",
     "nu",
     "p_adic_decompose",
-    "p_rational_power",
     "PadicDecomposition",
     "ParseError",
     "parse_polynomial",

@@ -16,21 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .arith import p_adic_decompose
 from .errors import PreconditionError, ResourceCapError
-from .ideal import Ideal, compact, frob_power_int, ideal_contains
+from .ideal import Ideal, frob_power_int, ideal_contains
 
 ITERATION_CAP = 64
-
-
-def p_rational_power(a: Ideal, k: int, q: int) -> Ideal:
-    """a^{[k/q]} = (a^{[k]})^{[1/q]}; independent of the representation of k/q.
-
-    The root is taken digit by digit, so a^{[k]} is never built (see
-    :func:`frobpow.ideal.frob_power_int`).
-    """
-    return frob_power_int(a, k, q)
 
 
 def rational_power(a: Ideal, t: Fraction | int) -> Ideal:
@@ -50,7 +42,7 @@ def rational_power(a: Ideal, t: Fraction | int) -> Ideal:
     p = a.ring.p
     dec = p_adic_decompose(t, p)
     if dec.c == 0:
-        return p_rational_power(a, dec.k, p**dec.b)
+        return frob_power_int(a, dec.k, p**dec.b)
     return _general_power(a, dec.b, dec.c, dec.l, dec.r)
 
 
@@ -61,9 +53,9 @@ def _general_power(a: Ideal, b: int, c: int, l: int, r: int) -> Ideal:
     if not 0 <= r < qc - 1:
         # r = p^c - 1 would break the digit-disjointness behind the recursion
         raise PreconditionError("division data out of range: need 0 <= r < p^c - 1")
-    current = compact(frob_power_int(a, r + 1, qc))
+    current = frob_power_int(a, r + 1, qc)
     for _ in range(ITERATION_CAP):
-        nxt = compact(frob_power_int(a, r, qc, current))
+        nxt = frob_power_int(a, r, qc, current)
         if ideal_contains(current, nxt):
             break
         current = nxt
@@ -123,42 +115,49 @@ class StepFunction:
         ]
 
 
-def jumps_scan(a: Ideal, e_max: int) -> StepFunction:
-    """Scan a^{[k/p^e_max]} over the grid and fold equal neighbours.
+def _last_true(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The largest k with holds(k), for a predicate true up to some point
+    and false beyond it, given holds(lo) and hi > lo: doubling bracket,
+    then bisection.
 
-    Breakpoints are grid-resolved lower bounds for the true jumps; a finer
-    grid can only refine them.  Coarse levels are computed first, and for
-    monomial ideals a grid point strictly between two equal coarser values is
-    skipped (monotonicity pins its value).
+    Frobenius powers descend as t grows, so every question "how far does
+    a^{[k/q]} keep a property" has this shape: mu and jumps_scan both ask it.
+    """
+    while holds(hi):
+        lo = hi
+        hi *= 2
+    # invariant: holds(lo), not holds(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def jumps_scan(a: Ideal, e_max: int) -> StepFunction:
+    """The step function t -> a^{[t]} on the grid k/q, q = p^e_max.
+
+    Powers descend as t grows, so each constant stretch is found by one
+    monotone search: the next breakpoint is one past the last grid k whose
+    a^{[k/q]} equals the current value.  A breakpoint b is a grid-resolved
+    upper bound: the true jump lies in (b - 1/q, b].  A finer grid can only
+    move a breakpoint down or split it into several.
     """
     if e_max < 1:
         raise PreconditionError("jumps_scan requires e_max >= 1")
-    p = a.ring.p
-    prune = a.is_monomial
-    q = p**e_max
-    cache: dict[Fraction, Ideal] = {Fraction(0): Ideal.unit(a.ring)}
-    for e in range(1, e_max + 1):
-        qe = p**e
-        for k in range(qe):
-            t = Fraction(k, qe)
-            if t in cache:
-                continue
-            if prune:
-                coarse = Fraction(k // p, qe // p)
-                nxt = Fraction(k // p + 1, qe // p)
-                left = cache.get(coarse)
-                right = cache.get(nxt) if nxt < 1 else None
-                if left is not None and right is not None and left == right:
-                    cache[t] = left
-                    continue
-            cache[t] = p_rational_power(a, k, qe)
-    points = sorted(cache)
+    q = a.ring.p**e_max
     breakpoints: list[Fraction] = []
-    values: list[Ideal] = [cache[Fraction(0)]]
-    for t in points[1:]:
-        if cache[t] != values[-1]:
-            breakpoints.append(t)
-            values.append(cache[t])
+    values = [Ideal.unit(a.ring)]
+
+    def unchanged(k: int) -> bool:
+        return k < q and frob_power_int(a, k, q) == values[-1]
+
+    k = 0
+    while (k := _last_true(unchanged, k, k + 1) + 1) < q:
+        breakpoints.append(Fraction(k, q))
+        values.append(frob_power_int(a, k, q))
     return StepFunction(
         breakpoints=tuple(breakpoints),
         values=tuple(values),

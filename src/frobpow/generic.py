@@ -13,7 +13,6 @@ b^{[q]} cut out the locus of scalar specializations whose F-threshold drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,43 +23,22 @@ from .monomial import MonomialIdeal, mono_bracket, mono_member
 from .poly import Exponent, Polynomial, PolyRing
 
 
-@dataclass(frozen=True)
-class ExtendedRingContext:
-    """Base ring plus one auxiliary variable per generator."""
-
-    base: PolyRing
-    ext: PolyRing
-    aux_names: tuple[str, ...]
-
-    @staticmethod
-    def for_generators(base: PolyRing, m: int) -> "ExtendedRingContext":
-        if m < 1:
-            raise PreconditionError("need at least one generator")
-        stem = "z"
-        while any(f"{stem}{i}" in base.variables for i in range(1, m + 1)):
-            stem += "z"
-        names = tuple(f"{stem}{i}" for i in range(1, m + 1))
-        return ExtendedRingContext(
-            base=base, ext=base.extend(names), aux_names=names
-        )
-
-    def lift(self, f: Polynomial) -> Polynomial:
-        return f.remap(self.ext)
-
-    def generic_combination(self, gens: Sequence[Polynomial]) -> Polynomial:
-        G = self.ext.zero()
-        for name, g in zip(self.aux_names, gens):
-            G = G + self.ext.var(name) * self.lift(g)
-        return G
-
-
-def _generic(gens: Sequence[Polynomial]) -> tuple[ExtendedRingContext, Polynomial]:
-    """The extended ring of nonzero generators and G in it."""
+def _generic(gens: Sequence[Polynomial]) -> tuple[tuple[str, ...], Polynomial]:
+    """Fresh auxiliary names z1..zm for nonzero generators and G in the
+    base ring extended by them."""
     gens = list(gens)
     if not gens or any(g.is_zero() for g in gens):
         raise PreconditionError("generators must be nonzero")
-    ctx = ExtendedRingContext.for_generators(gens[0].ring, len(gens))
-    return ctx, ctx.generic_combination(gens)
+    base, m = gens[0].ring, len(gens)
+    stem = "z"
+    while any(f"{stem}{i}" in base.variables for i in range(1, m + 1)):
+        stem += "z"
+    names = tuple(f"{stem}{i}" for i in range(1, m + 1))
+    ext = base.extend(names)
+    G = ext.zero()
+    for name, g in zip(names, gens):
+        G = G + ext.var(name) * g.remap(ext)
+    return names, G
 
 
 def tau_generic(gens: Sequence[Polynomial], t: Fraction | int) -> Ideal:
@@ -68,8 +46,8 @@ def tau_generic(gens: Sequence[Polynomial], t: Fraction | int) -> Ideal:
     t = Fraction(t)
     if t <= 0:
         raise PreconditionError("tau_generic requires t > 0")
-    ctx, G = _generic(gens)
-    return rational_power(Ideal(ctx.ext, [G]), t)
+    _, G = _generic(gens)
+    return rational_power(Ideal(G.ring, [G]), t)
 
 
 def principal_power_oracle(gens: Sequence[Polynomial], t: Fraction | int) -> Ideal:
@@ -77,10 +55,9 @@ def principal_power_oracle(gens: Sequence[Polynomial], t: Fraction | int) -> Ide
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionError("principal_power_oracle requires 0 < t < 1")
-    ctx, G = _generic(gens)
-    tau = rational_power(Ideal(ctx.ext, [G]), t)
-    down = eliminate(tau, ctx.aux_names)
-    return Ideal(ctx.base, [g.remap(ctx.base) for g in down.gens])
+    names, G = _generic(gens)
+    # the eliminated ring keeps the base's p, variables and order: it is the base
+    return eliminate(rational_power(Ideal(G.ring, [G]), t), names)
 
 
 def stratify(
@@ -95,9 +72,9 @@ def stratify(
     """
     if i < 1:
         raise PreconditionError("stratify requires i >= 1")
-    ctx, G = _generic(gens)
-    base = ctx.base
-    if b.ring != base:
+    names, G = _generic(gens)
+    base = b.ring
+    if G.ring != base.extend(names):
         raise PreconditionError("monomial ideal lives in a different ring")
     if b.is_zero() or b.is_unit():
         raise PreconditionError("stratify needs a nonzero proper monomial ideal")
@@ -105,7 +82,7 @@ def stratify(
     power = G**i
     nbase = base.nvars
     bq = mono_bracket(b, q)
-    z_ring = PolyRing(base.p, ctx.aux_names)
+    z_ring = PolyRing(base.p, names)
     grouped: dict[Exponent, dict[Exponent, int]] = {}
     for w, c in power.terms.items():
         xu, zu = w[:nbase], w[nbase:]

@@ -192,11 +192,6 @@ class Polynomial:
         """Single-term polynomial (a scalar times one monomial)."""
         return len(self.terms) == 1
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(u) for u in self.terms)
-
     def leading_exponent(self, key: Callable[[Exponent], tuple] | None = None) -> Exponent:
         if not self.terms:
             raise PreconditionError("the zero polynomial has no leading term")

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 from .errors import PreconditionError, ResourceCapError
-from .frobpower import rational_power
+from .frobpower import _last_true, rational_power
 from .groebner import normal_form
 from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
 from .poly import Polynomial
@@ -100,7 +99,7 @@ def _validate_pair(a: Ideal, b: Ideal, q: int):
         raise PreconditionError("mu/nu need nonzero proper ideals")
 
 
-def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0) -> int:
+def mu(a: Ideal, b: Ideal, q: int, *, _seed: int = 0) -> int:
     """max{k : a^{[k]} not contained in b^{[q]}}.
 
     Exponential bracketing from a known-outside seed, then binary search;
@@ -110,9 +109,8 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
     a^{[k]}; other ideals test a^{[k]} against b^{[q]}, which the antichain
     kernel decides term by term when b is monomial.
     """
-    if not _skip_checks:
-        _validate_pair(a, b, q)
-        check_radical_containment(a, b)
+    _validate_pair(a, b, q)
+    check_radical_containment(a, b)
     p = a.ring.p
     if a.is_monomial:
 
@@ -133,7 +131,7 @@ def mu(a: Ideal, b: Ideal, q: int, *, _skip_checks: bool = False, _seed: int = 0
         raise PreconditionError("invalid search seed for mu")
     # Seeded from p*mu(q/p), the next value sits within p of the seed; start
     # the doubling bracket there and widen only if needed.
-    return _last_outside(outside, _seed, _seed + p if _seed else 1)
+    return _last_true(outside, _seed, _seed + p if _seed else 1)
 
 
 def nu(f: Polynomial, b: Ideal, q: int) -> int:
@@ -145,36 +143,20 @@ def nu(f: Polynomial, b: Ideal, q: int) -> int:
     return mu(Ideal(f.ring, [f]), b, q)
 
 
-def _last_outside(outside: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The largest k with outside(k), for a predicate true up to some point
-    and false beyond it, given outside(lo) and hi > lo: doubling bracket,
-    then bisection."""
-    while outside(hi):
-        lo = hi
-        hi *= 2
-    # invariant: outside(lo), not outside(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if outside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def crit_truncations(a: Ideal, b: Ideal, e_max: int) -> TruncationReport:
-    """mu(p^e)/p^e for e = 1..e_max, each search seeded from p * mu(previous)."""
+    """mu(p^e)/p^e for e = 1..e_max, each search seeded from p * mu(previous).
+
+    The pair is checked by mu itself, at every level.
+    """
     if e_max < 1:
         raise PreconditionError("e_max must be at least 1")
-    _validate_pair(a, b, a.ring.p)
-    check_radical_containment(a, b)
     p = a.ring.p
     mus: list[int] = []
     qs: list[int] = []
     for e in range(1, e_max + 1):
         q = p**e
         seed = p * mus[-1] if mus else 0
-        mus.append(mu(a, b, q, _skip_checks=True, _seed=seed))
+        mus.append(mu(a, b, q, _seed=seed))
         qs.append(q)
     q_max, mu_max = qs[-1], mus[-1]
     return TruncationReport(
@@ -186,6 +168,13 @@ def crit_truncations(a: Ideal, b: Ideal, e_max: int) -> TruncationReport:
         candidate=None,
         certified_exact=False,
     )
+
+
+def _check_caps(b_max: int, c_max: int):
+    if b_max < 0 or c_max < 0:
+        raise PreconditionError(
+            f"candidate caps must be nonnegative, got b_max={b_max}, c_max={c_max}"
+        )
 
 
 def _denominators(p: int, b_max: int, c_max: int) -> list[int]:
@@ -278,6 +267,7 @@ def crit_reconstruct(
     a: Ideal, b: Ideal, e_max: int, b_max: int = 4, c_max: int = 4
 ) -> TruncationReport:
     """Truncations plus an exact-candidate search inside the certified interval."""
+    _check_caps(b_max, c_max)
     report = crit_truncations(a, b, e_max)
     return _reconstruct(a, b, report, b_max, c_max)
 
@@ -290,6 +280,7 @@ def lce(a: Ideal, e_max: int, b_max: int = 4, c_max: int = 4) -> TruncationRepor
     tested first: when the Frobenius power there already lands inside the
     maximal ideal, that value is the exact answer.
     """
+    _check_caps(b_max, c_max)
     ring = a.ring
     if a.is_zero():
         raise PreconditionError("lce requires a nonzero ideal")

@@ -7,7 +7,7 @@ import operator
 import random
 from fractions import Fraction
 
-from frobpow import Ideal, PolyRing
+from frobpow import Ideal, PolyRing, frob_power_int
 
 
 def ring2(p, order=None):
@@ -78,6 +78,23 @@ def candidate_grid(p, lo, hi, b_max, c_max):
             if lo < lam <= hi:
                 out.add(lam)
     return sorted(out)
+
+
+def jumps_reference(a, e_max):
+    """(breakpoints, values) of t -> a^{[t]} on the grid k/p^e_max, from the
+    power at every grid point with equal neighbours folded.
+
+    jumps_scan once walked the grid this way; kept as the reference for its
+    monotone search.
+    """
+    q = a.ring.p**e_max
+    breakpoints, values = [], [Ideal.unit(a.ring)]
+    for k in range(1, q):
+        value = frob_power_int(a, k, q)
+        if value != values[-1]:
+            breakpoints.append(Fraction(k, q))
+            values.append(value)
+    return tuple(breakpoints), tuple(values)
 
 
 def fourier_motzkin_feasible(constraints, nvars):

@@ -193,6 +193,22 @@ def test_exit_code_precondition(capsys, m5_path):
     assert code == 3  # G^3 lies inside m^[3]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crit", "--num", "a", "--den", "m", "--emax", "3", "--bmax", "-1"],
+        ["crit", "--num", "a", "--den", "m", "--emax", "3", "--cmax", "-1"],
+        ["lce", "--ideal", "a", "--emax", "3", "--bmax", "-1"],
+    ],
+    ids=lambda a: " ".join(a[-2:]),
+)
+def test_exit_code_negative_candidate_caps(capsys, m5_path, argv):
+    code, out, err = run(capsys, argv + [m5_path])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "nonnegative" in err
+
+
 def test_exit_code_resource_cap(capsys, tmp_path):
     path = tmp_path / "big.frob"
     path.write_text("p 2\nvars x y\nideal a = x^4611686018427387904\n")

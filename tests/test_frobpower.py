@@ -9,8 +9,8 @@ from frobpow.errors import ExponentOverflowError, PreconditionError
 from frobpow.frobpower import (
     StepFunction,
     _general_power,
+    _last_true,
     jumps_scan,
-    p_rational_power,
     rational_power,
     skoda_split,
 )
@@ -27,7 +27,7 @@ from frobpow.monomial import MonomialIdeal
 from frobpow.poly import PolyRing
 from frobpow.thresholds import mu
 
-from helpers import ideal, maximal, ring2, sample_tame_fractions
+from helpers import ideal, jumps_reference, maximal, ring2, sample_tame_fractions
 
 
 def corpus(R):
@@ -42,10 +42,10 @@ def corpus(R):
 def test_p_rational_examples():
     R = ring2(3)
     m5 = ideal_power(maximal(R), 5)
-    assert p_rational_power(m5, 1, 3) == maximal(R)
-    assert p_rational_power(maximal(R), 0, 9) == Ideal.unit(R)
+    assert frob_power_int(m5, 1, 3) == maximal(R)
+    assert frob_power_int(maximal(R), 0, 9) == Ideal.unit(R)
     f = R.parse("x^2+y^3")
-    assert p_rational_power(ideal(R, "x^2+y^3"), 4, 9) == frob_root(
+    assert frob_power_int(ideal(R, "x^2+y^3"), 4, 9) == frob_root(
         Ideal(R, [f**4]), 9
     )
 
@@ -58,7 +58,7 @@ def test_representation_independence(p):
         for _ in range(6):
             k = rng.randrange(0, 3 * p)
             q = p ** rng.randint(1, 3)
-            assert p_rational_power(a, k, q) == p_rational_power(a, p * k, p * q)
+            assert frob_power_int(a, k, q) == frob_power_int(a, p * k, p * q)
 
 
 def test_general_branch_agrees_on_p_rational_values():
@@ -68,7 +68,7 @@ def test_general_branch_agrees_on_p_rational_values():
         R = ring2(p)
         for a in corpus(R):
             for b in (1, 2):
-                direct = p_rational_power(a, 1, p**b)
+                direct = frob_power_int(a, 1, p**b)
                 forced = _general_power(a, b=b, c=1, l=1, r=0)
                 assert direct == forced
 
@@ -202,13 +202,58 @@ def test_jumps_scan_principal_linear_form():
 
 
 def test_jumps_scan_matches_pointwise_values():
-    # pruning must not change any grid value (non-monomial vs monomial ideal)
+    # the search must not change any grid value (non-monomial vs monomial ideal)
     R = ring2(2)
     for a in (ideal(R, "x^2+y^3"), ideal(R, "x^3", "x*y", "y^3")):
         step = jumps_scan(a, 3)
         for k in range(8):
             t = Fraction(k, 8)
-            assert step.value_at(t) == p_rational_power(a, k, 8)
+            assert step.value_at(t) == frob_power_int(a, k, 8)
+
+
+@given(last=st.integers(0, 10**6), lo=st.integers(0, 10**6), step=st.integers(1, 10))
+def test_last_true_finds_the_threshold(last, lo, step):
+    # the search mu and jumps_scan share: doubling bracket from (lo, lo + step),
+    # then bisection
+    assume(lo <= last)
+    probes = []
+
+    def holds(k):
+        probes.append(k)
+        return k <= last
+
+    assert _last_true(holds, lo, lo + step) == last
+    assert len(probes) <= 2 * (last + step).bit_length() + 2
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    e=st.integers(1, 3),
+    exps=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=3
+    ),
+    binomial=st.none()
+    | st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+)
+def test_jumps_scan_matches_exhaustive_grid(p, e, exps, binomial):
+    # jumps_scan probes only around each jump; the reference computes every
+    # grid point.  A binomial generator makes the ideal non-monomial.
+    R = ring2(p)
+    gens = [R.monomial(u) for u in exps]
+    if binomial is not None:
+        u, v = binomial[:2], binomial[2:]
+        assume(u != v)
+        gens.append(R.monomial(u) + R.monomial(v))
+    a = Ideal(R, gens)
+    assert a.is_monomial == (binomial is None)
+    step = jumps_scan(a, e)
+    breakpoints, values = jumps_reference(a, e)
+    assert step.breakpoints == breakpoints
+    assert step.values == values
+    assert [v.canonical_generators() for v in step.values] == [
+        v.canonical_generators() for v in values
+    ]
+    assert step.resolution == Fraction(1, p**e)
 
 
 def test_step_function_invariants():

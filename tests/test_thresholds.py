@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError, ResourceCapError
@@ -10,7 +10,6 @@ from frobpow.monomial import newton_fpt
 from frobpow.thresholds import (
     TruncationReport,
     _denominators,
-    _last_outside,
     _next_candidate,
     _reconstruct,
     check_radical_containment,
@@ -99,20 +98,6 @@ def test_nu_against_brute_force_expansion():
     assert nu(f, maximal(R), 5) == brute
 
 
-@given(last=st.integers(0, 10**6), lo=st.integers(0, 10**6), step=st.integers(1, 10))
-def test_last_outside_finds_the_threshold(last, lo, step):
-    # the search mu and nu share: doubling bracket from (lo, lo + step), then bisection
-    assume(lo <= last)
-    probes = []
-
-    def outside(k):
-        probes.append(k)
-        return k <= last
-
-    assert _last_outside(outside, lo, lo + step) == last
-    assert len(probes) <= 2 * (last + step).bit_length() + 2
-
-
 def test_truncation_examples():
     R = ring2(3)
     m = maximal(R)
@@ -184,6 +169,23 @@ def test_lce_requires_subvariable_ideal():
     R = ring2(3)
     with pytest.raises(PreconditionError):
         lce(ideal(R, "x+1"), 2)
+
+
+@pytest.mark.parametrize("caps", [(-1, 4), (4, -1), (-1, -1)])
+def test_negative_candidate_caps_rejected_before_any_mu(monkeypatch, caps):
+    # b_max = -1 once left no denominator and crashed the candidate search
+    # with a bare ValueError; a negative c_max silently acted as 0
+    R = ring2(3)
+    m5 = ideal_power(maximal(R), 5)
+
+    def no_mu(*args, **kwargs):
+        raise AssertionError("mu ran before the caps were checked")
+
+    monkeypatch.setattr("frobpow.thresholds.mu", no_mu)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        crit_reconstruct(m5, maximal(R), 3, *caps)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        lce(m5, 3, *caps)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
