@@ -14,11 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceCapError
 
 # Exponents of ring variables are policy-capped at 64 bits so that runaway
 # computations fail loudly instead of grinding through astronomical monomials.
 MAX_EXPONENT = (1 << 63) - 1
+# A rational power with period c = ord_d(p) runs Horner steps over the c
+# base-p digits of integers near p^c, so its time grows like c^2: <x,y>^5 at
+# p = 3 took 0.36, 1.07, 3.2-3.5, 6.0-6.5 and 19.5 s at c = 10038, 20020,
+# 40012, 59008 and 100002 (Python 3.11, one Xeon core).  The cap stops such
+# a call below 10 s, as NEWTON_WALK_CAP does the Newton walk.
+PERIOD_CAP = 6 * 10**4
 
 
 def is_prime(n: int) -> bool:
@@ -92,12 +98,20 @@ def multinomial(u: Sequence[int]) -> int:
 
 
 def multiplicative_order(p: int, d: int) -> int:
-    """Least c >= 1 with p^c = 1 mod d (requires gcd(p, d) = 1, d >= 2)."""
+    """Least c >= 1 with p^c = 1 mod d (requires gcd(p, d) = 1, d >= 2).
+
+    Raises ResourceCapError once c passes PERIOD_CAP.
+    """
     if d < 2 or math.gcd(p, d) != 1:
         raise PreconditionError(f"multiplicative order undefined for p={p} mod d={d}")
     acc = p % d
     c = 1
     while acc != 1:
+        if c == PERIOD_CAP:
+            raise ResourceCapError(
+                f"the period of p={p} mod d={d} exceeds PERIOD_CAP "
+                f"({PERIOD_CAP}): p^c != 1 mod d for every c up to {c}"
+            )
         acc = (acc * p) % d
         c += 1
     return c

@@ -253,6 +253,15 @@ def compact(a: Ideal) -> Ideal:
     return a
 
 
+# The ideal frob_power_int raised last, with its digit powers {d: a^d}.  The
+# threshold searches raise one ideal at many exponents in a row.  Ideals do
+# not change once built, so identity is a sound key, and it costs no hashing
+# (hashing a non-monomial ideal computes a reduced basis).  One slot bounds
+# the memory to what a call holds anyway; a new ideal replaces the pair in one
+# store, and the list itself is never rebound.
+_LAST_RAISED: list[tuple[Ideal, dict[int, Ideal]] | None] = [None]
+
+
 def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> Ideal:
     """(seed * a^{[k]})^{[1/q]}, q a power of p; no seed means the unit ideal.
 
@@ -261,9 +270,12 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     q = p^e the projection formula (I^{[p]} J)^{[1/p]} = I J^{[1/p]} roots
     the e low digits d_i of k in Horner form, R <- (R a^{d_i})^{[1/p]}, so
     a^{[k]} is never built and no intermediate ideal is larger than a root;
-    R is then multiplied by a^{[k // q]}.  Each a^d (d < p) is computed once
-    per call.  Monomial inputs reach the antichain kernel through the
-    dispatching operations, where each step is one fused product-and-root.
+    R is then multiplied by a^{[k // q]}.  The digit powers a^d (d < p) are
+    kept for the ideal raised last, keyed by identity: calls on the same
+    object, as a search makes, build each a^d once between them, and a call
+    on any other object replaces that one entry.  Monomial inputs reach the
+    antichain kernel through the dispatching operations, where each step is
+    one fused product-and-root.
     """
     if k < 0:
         raise PreconditionError("negative Frobenius power")
@@ -271,7 +283,10 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     if seed is not None:
         _same_ring(a, seed)
     p = a.ring.p
-    powers: dict[int, Ideal] = {}
+    last = _LAST_RAISED[0]
+    if last is None or last[0] is not a:
+        last = _LAST_RAISED[0] = (a, {})
+    powers = last[1]
 
     def power(d: int) -> Ideal:
         if d not in powers:

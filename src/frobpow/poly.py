@@ -310,6 +310,9 @@ class Polynomial:
             raise PreconditionError("negative polynomial power")
         if k == 0:
             return self.ring.one()
+        # Over a domain deg_i(f^k) = k deg_i(f): refuse before multiplying.
+        if k * max(map(max, zip(*self.terms)), default=0) > MAX_EXPONENT:
+            raise ExponentOverflowError(f"power {k} exponent exceeds 64-bit bound")
         p = self.ring.p
         result = self.ring.one()
         for i, d in enumerate(base_p_digits(k, p)):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobpow.arith import (
+    PERIOD_CAP,
     adds_without_carrying,
     base_p_digits,
     is_power_of,
@@ -13,7 +14,7 @@ from frobpow.arith import (
     multiplicative_order,
     p_adic_decompose,
 )
-from frobpow.errors import PreconditionError
+from frobpow.errors import PreconditionError, ResourceCapError
 
 PRIMES = [2, 3, 5, 7]
 
@@ -106,6 +107,17 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(11, 7) == 3
     with pytest.raises(PreconditionError):
         multiplicative_order(3, 6)
+
+
+def test_period_search_stops_at_the_cap():
+    # 3 generates the units mod the primes 59009 and 100003
+    assert multiplicative_order(3, 59009) == 59008 < PERIOD_CAP
+    with pytest.raises(ResourceCapError) as err:
+        multiplicative_order(3, 100003)
+    assert f"PERIOD_CAP ({PERIOD_CAP})" in str(err.value)
+    assert f"c up to {PERIOD_CAP}" in str(err.value)
+    with pytest.raises(ResourceCapError):
+        p_adic_decompose(Fraction(1, 3 * 100003), 3)
 
 
 def test_is_power_of():

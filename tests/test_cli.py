@@ -229,6 +229,10 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     assert code == 4
     assert "NEWTON_WALK_CAP" in err
     assert str(30003 * 30006) in err
+    # t = 1/100003 has period 100002 at p = 3: refused before any power
+    code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "1/100003", str(path)])
+    assert code == 4
+    assert "PERIOD_CAP" in err
 
 
 # -- structured output ---------------------------------------------------------------

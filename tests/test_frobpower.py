@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from frobpow.arith import ceil_fraction
-from frobpow.errors import ExponentOverflowError, PreconditionError
+from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from frobpow.frobpower import (
     StepFunction,
     _general_power,
@@ -154,6 +154,14 @@ def test_irrational_like_inputs_rejected():
     R = ring2(3)
     with pytest.raises(PreconditionError):
         rational_power(maximal(R), Fraction(-1, 2))
+
+
+def test_long_periods_are_refused_before_any_power():
+    # <x,y>^5 at t = 1/100003, p = 3: a period of 100002 digits would take
+    # about 20 s of Horner steps; the period search itself stops at the cap
+    R = ring2(3)
+    with pytest.raises(ResourceCapError, match="PERIOD_CAP"):
+        rational_power(ideal_power(maximal(R), 5), Fraction(1, 100003))
 
 
 def test_powers_equal_newton_tau_in_split_characteristic():

@@ -335,6 +335,48 @@ def test_rooted_power_matches_built_power_and_groebner_route(case, shifts):
     assert frob_power_int(general, k, q, general_seed) == got
 
 
+@st.composite
+def interleaved_power_calls(draw):
+    """A ring, two or three ideals in it (monomial, or with one binomial
+    generator), and a run of frob_power_int calls (ideal, k, q, seed ideal or
+    None) that moves between them; k // q stays a single digit."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ring2(p)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def one():
+        gens = [R.monomial(u) for u in draw(st.lists(exps, min_size=1, max_size=2))]
+        if draw(st.booleans()):
+            u, v = draw(exps), draw(exps)
+            if u != v:
+                gens.append(R.monomial(u) + R.monomial(v))
+        return Ideal(R, gens)
+
+    ideals = [one() for _ in range(draw(st.integers(2, 3)))]
+    index = st.integers(0, len(ideals) - 1)
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        q = p ** draw(st.integers(0, 2))
+        calls.append((draw(index), draw(st.integers(0, p * q - 1)), q, draw(st.none() | index)))
+    return R, ideals, calls
+
+
+@given(case=interleaved_power_calls())
+def test_digit_power_memo_changes_no_answer(case):
+    # Calls on the same object share the digit powers a^d; an equal copy made
+    # for each reference call is a new object, so it never finds them.
+    R, ideals, calls = case
+
+    def seed(s):
+        return None if s is None else ideals[s]
+
+    got = [frob_power_int(ideals[i], k, q, seed(s)) for i, k, q, s in calls]
+    for (i, k, q, s), value in zip(calls, got):
+        fresh = Ideal(R, ideals[i].gens)
+        want = frob_power_int(fresh, k, q, seed(s))
+        assert value.canonical_generators() == want.canonical_generators()
+
+
 def test_rooted_power_edge_cases():
     R = ring2(3)
     zero, unit, m = Ideal.zero(R), Ideal.unit(R), maximal(R)

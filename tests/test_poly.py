@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from frobpow.arith import MAX_EXPONENT
 from frobpow.errors import ExponentOverflowError, ParseError, PreconditionError
 from frobpow.poly import (
     MonomialOrder,
@@ -166,6 +167,18 @@ def test_mul_overflow_is_checked_per_variable():
     assert (R.monomial((big, 0)) * R.monomial((0, big))).terms == {(big, big): 1}
     with pytest.raises(ExponentOverflowError):
         R.parse(f"x^{big} + y") * R.parse(f"x^{big} + 1")
+
+
+def test_pow_overflow_is_refused_before_multiplying():
+    # (x + y)^(2^63) at p = 3 used to multiply about 40 Frobenius-scaled
+    # digit factors, with terms by the billion, before the top digit overflowed
+    R = ring2(3)
+    x, y = R.var("x"), R.var("y")
+    with pytest.raises(ExponentOverflowError):
+        (x + y) ** 2**63
+    with pytest.raises(ExponentOverflowError):
+        (x**2 + y) ** 2**62
+    assert (x ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0): 1}
 
 
 def test_frobenius_scale_overflow():

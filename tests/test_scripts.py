@@ -1,9 +1,12 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +92,46 @@ def test_profile_workload_prints_a_profile():
     assert lines[0].startswith("crit-monomial, seed 1: ") and lines[0].endswith(" tasks, one pass")
     assert "Ordered by: cumulative time" in out
     assert "frobpow" in out
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_and_gains():
+    bench_pairs = load_script("bench_pairs")
+    end_to_end = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "solved_frac", "unit": "ratio", "better": "higher"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+    ]
+    parent_wall = [0.08, 0.10, 0.07, 0.09, 0.11, 0.08, 0.09, 0.10, 0.07, 0.12]
+    change_wall = [0.05, 0.05, 0.04, 0.05, 0.06, 0.05, 0.05, 0.05, 0.08, 0.05]
+    parent = [{"wall_s": w, "solved_frac": 1.0, "peak_rss_mb": 24 + i}
+              for i, w in enumerate(parent_wall)]
+    change = [{"wall_s": w, "solved_frac": 1.0, "peak_rss_mb": 29}
+              for w in change_wall]
+    wall, solved, rss = bench_pairs.summarize(parent, change, end_to_end)
+    # 9 of 10 pairs won, and the medians 0.09 and 0.05 differ by more than
+    # the parent's interquartile range 0.08-0.10
+    assert (wall["wins"], wall["losses"], wall["gain"]) == (9, 1, True)
+    assert wall["parent"] == pytest.approx((0.08, 0.09, 0.1))
+    assert wall["change"][1] == pytest.approx(0.05)
+    # ties count for neither side
+    assert (solved["wins"], solved["losses"], solved["gain"]) == (0, 0, False)
+    # lower is better: the change wins where the parent read above 29
+    assert (rss["wins"], rss["losses"], rss["gain"]) == (4, 5, False)
+
+
+def test_bench_pairs_gain_needs_the_medians_apart_by_the_parent_spread():
+    bench_pairs = load_script("bench_pairs")
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    parent = [{"wall_s": w} for w in (1.0, 2.0, 3.0, 4.0)]
+    change = [{"wall_s": w - 0.1} for w in (1.0, 2.0, 3.0, 4.0)]
+    (row,) = bench_pairs.summarize(parent, change, end_to_end)
+    assert (row["wins"], row["gain"]) == (4, False)
+    (row,) = bench_pairs.summarize(parent[:1], change[:1], end_to_end)
+    assert row["parent"] == (1.0, 1.0, 1.0) and row["gain"]

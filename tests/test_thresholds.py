@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import frobpow.ideal
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError, ResourceCapError
 from frobpow.ideal import Ideal, ideal_power, ideal_sum
@@ -31,6 +32,34 @@ def test_mu_examples():
     assert mu(m5, m, 3) == 0
     assert mu(m5, m, 9) == 2
     assert mu(m, m, 3) == 2
+
+
+M5_GENS = ("x^5", "x^4*y", "x^3*y^2", "x^2*y^3", "x*y^4", "y^5")
+
+
+@pytest.mark.parametrize(
+    "search, gens",
+    [
+        (lambda a, m: lce(a, 5), M5_GENS),
+        (lambda a, m: crit_truncations(a, m, 3), M5_GENS),
+        (lambda a, m: crit_truncations(a, m, 3), ("x^2+y^3", "x*y")),
+    ],
+    ids=["lce-m5", "crit-m5", "crit-general"],
+)
+def test_a_search_builds_each_digit_power_once(monkeypatch, search, gens):
+    # every probe of one search raises the same object, so the digit powers
+    # a^d, d < p, are built once for the whole search
+    built = []
+    real = frobpow.ideal.ideal_power
+
+    def counted(a, d):
+        built.append(d)
+        return real(a, d)
+
+    monkeypatch.setattr(frobpow.ideal, "ideal_power", counted)
+    R = ring2(3)
+    search(ideal(R, *gens), maximal(R))
+    assert len(set(built)) == len(built) <= R.p - 1
 
 
 def test_mu_rejects_bad_inputs():
