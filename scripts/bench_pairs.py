@@ -84,6 +84,9 @@ def main():
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
+    for tree in (args.parent, args.change):
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"{tree} holds no perfbench/run.py")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):

@@ -170,8 +170,9 @@ def test_mul_overflow_is_checked_per_variable():
 
 
 def test_pow_overflow_is_refused_before_multiplying():
-    # (x + y)^(2^63) at p = 3 used to multiply about 40 Frobenius-scaled
-    # digit factors, with terms by the billion, before the top digit overflowed
+    # (x + y)^(2^63) at p = 3 used to multiply about 40 ever larger
+    # Frobenius-scaled digit factors, and run out of memory, before the top
+    # digit overflowed
     R = ring2(3)
     x, y = R.var("x"), R.var("y")
     with pytest.raises(ExponentOverflowError):
