@@ -134,9 +134,6 @@ class Ideal:
             return True
         return self.reduced_basis().is_unit()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def reduced_basis(self, order: MonomialOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.order
         gb = self._cache.get(order)

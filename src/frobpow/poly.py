@@ -8,13 +8,18 @@ and term mappings coincide.
 
 The text grammar shared with the CLI: a polynomial is terms joined by '+'
 or '-'; a term is an optional integer coefficient, an optional '*', then
-variable factors ``var`` or ``var^exp`` joined by '*'.  Examples::
+variable factors ``var`` or ``var^exp`` joined by '*'.  An integer is a run
+of decimal digits; a name starts with a letter or '_' (any word character
+but a decimal digit) and goes on with word characters.  Whitespace may
+separate any two tokens, and a coefficient may be followed by a factor
+without '*' (``2 x`` is 2*x).  Examples::
 
     x^5 + y^5        2*x^2*y - 3        x*y^2
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import add, neg
 from typing import Callable, Iterable
@@ -103,10 +108,11 @@ class PolyRing:
     order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise PreconditionError(f"{self.p} is not prime")
+        # Test the bound first: trial division is only fast below it.
         if self.p >= 1 << 31:
             raise PreconditionError("characteristic must be below 2^31")
+        if not is_prime(self.p):
+            raise PreconditionError(f"{self.p} is not prime")
         if len(set(self.variables)) != len(self.variables):
             raise PreconditionError("duplicate variable names")
         for name in self.variables:
@@ -157,12 +163,8 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
-    def extend(self, new_vars: Iterable[str], order: MonomialOrder | None = None) -> "PolyRing":
-        return PolyRing(
-            self.p,
-            self.variables + tuple(new_vars),
-            order if order is not None else self.order,
-        )
+    def extend(self, new_vars: Iterable[str]) -> "PolyRing":
+        return PolyRing(self.p, self.variables + tuple(new_vars), self.order)
 
     def sort_key(self) -> Callable[[Exponent], tuple]:
         return self.order.sort_key()
@@ -401,128 +403,67 @@ def format_polynomial(f: Polynomial) -> str:
     return " + ".join(parts)
 
 
-class _Tokens:
-    """Single-line tokenizer for the polynomial grammar."""
-
-    def __init__(self, text: str, line: int = 1, col_offset: int = 0):
-        self.text = text
-        self.line = line
-        self.col_offset = col_offset
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-            elif ch in "+-*^":
-                self.tokens.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(
-                    f"unexpected character {ch!r}", self.line, self.col_offset + i + 1
-                )
-
-    def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.idx += 1
-        return tok
-
-    def error(self, message: str, tok=None):
-        col = self.col_offset + (tok[2] + 1 if tok else len(self.text) + 1)
-        raise ParseError(message, self.line, col)
+# One match per token; whitespace matches no group, so finditer skips it.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^])|(?P<bad>\S)")
 
 
 def parse_polynomial(
     ring: PolyRing, text: str, line: int = 1, col_offset: int = 0
 ) -> Polynomial:
     """Parse the shared polynomial grammar; errors carry line and column."""
-    toks = _Tokens(text, line, col_offset)
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    toks.append(("end", "", len(text)))
+
+    def error(message: str, i: int):
+        raise ParseError(message, line, col_offset + toks[i][2] + 1)
+
+    for i, (kind, tok, _) in enumerate(toks):
+        if kind == "bad":
+            error(f"unexpected character {tok!r}", i)
+    if len(toks) == 1:
+        error("empty polynomial", 0)
     var_index = {name: i for i, name in enumerate(ring.variables)}
     terms: list[tuple[Exponent, int]] = []
-    sign = 1
-    first = True
-    while True:
-        tok = toks.peek()
-        if tok is None:
-            if first:
-                toks.error("empty polynomial")
-            break
-        if not first:
-            if tok[0] == "+":
-                sign = 1
-            elif tok[0] == "-":
-                sign = -1
-            else:
-                toks.error(f"expected '+' or '-', found {tok[1]!r}", tok)
-            toks.next()
-        elif tok[0] in "+-":
-            sign = 1 if tok[0] == "+" else -1
-            toks.next()
-        first = False
-
+    i = 0
+    while toks[i][0] != "end":
+        # A term is an optional sign, an optional coefficient and '*', then
+        # factors; its factor loop stops only at a sign or at the end.
+        sign = -1 if toks[i][1] == "-" else 1
+        if toks[i][1] in ("+", "-"):
+            i += 1
         coeff = 1
         exps = [0] * ring.nvars
         saw_factor = False
-        tok = toks.peek()
-        if tok is not None and tok[0] == "int":
-            coeff = int(tok[1])
+        if toks[i][0] == "int":
+            coeff = int(toks[i][1])
             saw_factor = True
-            toks.next()
-            if toks.peek() is not None and toks.peek()[0] == "*":
-                toks.next()
+            i += 1
+            if toks[i][1] == "*":
+                i += 1
                 saw_factor = False  # a variable factor must follow the '*'
-        while True:
-            tok = toks.peek()
-            if tok is None or tok[0] in "+-":
-                break
-            if tok[0] != "name":
-                toks.error(f"expected a variable, found {tok[1]!r}", tok)
-            if tok[1] not in var_index:
-                toks.error(f"undeclared variable {tok[1]!r}", tok)
-            toks.next()
+        while toks[i][0] != "end" and toks[i][1] not in ("+", "-"):
+            kind, tok, _ = toks[i]
+            if kind != "name":
+                error(f"expected a variable, found {tok!r}", i)
+            if tok not in var_index:
+                error(f"undeclared variable {tok!r}", i)
+            i += 1
             exp = 1
-            nxt = toks.peek()
-            if nxt is not None and nxt[0] == "^":
-                toks.next()
-                etok = toks.peek()
-                if etok is None or etok[0] != "int":
-                    toks.error("expected an integer exponent", etok)
-                exp = int(etok[1])
-                toks.next()
-            if exp > MAX_EXPONENT:
-                toks.error("exponent exceeds 64-bit bound", tok)
-            exps[var_index[tok[1]]] += exp
+            if toks[i][1] == "^":
+                if toks[i + 1][0] != "int":
+                    error("expected an integer exponent", i + 1)
+                exp = int(toks[i + 1][1])
+                if exp > MAX_EXPONENT:
+                    error("exponent exceeds 64-bit bound", i - 1)
+                i += 2
+            exps[var_index[tok]] += exp
             saw_factor = True
-            nxt = toks.peek()
-            if nxt is not None and nxt[0] == "*":
-                toks.next()
+            if toks[i][1] == "*":
+                i += 1
                 saw_factor = False
-            elif nxt is not None and nxt[0] in ("name", "int"):
-                toks.error("factors must be joined by '*'", nxt)
+            elif toks[i][0] in ("name", "int"):
+                error("factors must be joined by '*'", i)
         if not saw_factor:
-            toks.error("dangling '*' or empty term", toks.peek())
+            error("dangling '*' or empty term", i)
         terms.append((tuple(exps), sign * coeff))
     return ring.poly(terms)

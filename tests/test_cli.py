@@ -177,6 +177,22 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p 2305843009213693951\nvars x y\n", "1:1: characteristic must be below 2^31"),
+        ("p 3\nvars x y\nideal a = x^², y\n", "3:13: expected an integer exponent"),
+    ],
+    ids=["huge-characteristic", "superscript-exponent"],
+)
+def test_exit_code_parse_error_is_one_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.frob"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["power", "--ideal", "a", "--t", "1", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "1/2", "/no/such/file"])
     assert code == 2

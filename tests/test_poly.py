@@ -258,6 +258,17 @@ def test_format_parse_round_trip(p):
         ("x & y", 3),
         ("x y", 3),
         ("x^2 y", 5),
+        ("", 1),
+        ("x*2", 3),
+        ("x^99999999999999999999", 1),
+        ("+", 2),
+        # str.isdigit accepts '²' but int does not: only decimal digits make
+        # an integer, and other numeric characters fail at their own column.
+        ("x^²", 3),
+        ("²", 1),
+        ("½", 1),
+        ("2²", 2),
+        ("x*½", 3),
     ],
 )
 def test_parse_errors_carry_position(text, col):
@@ -266,6 +277,29 @@ def test_parse_errors_carry_position(text, col):
         parse_polynomial(R, text)
     assert err.value.line == 1
     assert err.value.col == col
+
+
+GRAMMAR_TOKENS = ["x", "y", "w", "+", "-", "*", "^", " ", "\t", "²", "٣", "&"]
+
+
+@given(
+    tokens=st.lists(
+        st.one_of(st.sampled_from(GRAMMAR_TOKENS), st.integers(0, 99).map(str)),
+        max_size=10,
+    ),
+    line=st.integers(1, 99),
+    col_offset=st.integers(0, 99),
+)
+def test_parse_round_trips_or_points_into_the_text(tokens, line, col_offset):
+    R = ring2(5)
+    text = "".join(tokens)
+    try:
+        f = parse_polynomial(R, text, line=line, col_offset=col_offset)
+    except ParseError as err:
+        assert err.line == line
+        assert col_offset + 1 <= err.col <= col_offset + len(text) + 1
+    else:
+        assert R.parse(format_polynomial(f)) == f
 
 
 def test_parse_error_line_offset():
@@ -282,6 +316,13 @@ def test_parse_error_line_offset():
 def test_ring_rejects_composite_characteristic():
     with pytest.raises(PreconditionError):
         PolyRing(4, ("x",))
+
+
+def test_ring_tests_the_characteristic_bound_before_primality(monkeypatch):
+    # Trial division of 2^61 - 1 would run for hours; the bound refuses it first.
+    monkeypatch.setattr("frobpow.poly.is_prime", lambda n: pytest.fail("is_prime ran"))
+    with pytest.raises(PreconditionError, match=r"below 2\^31"):
+        PolyRing(2**61 - 1, ("x",))
 
 
 def test_ring_rejects_duplicate_vars():
