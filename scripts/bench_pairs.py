@@ -8,8 +8,12 @@ Prints, per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, how many pairs the change won (by the metric's ``better``
 direction; ties count for neither side), and whether that is a gain: wins in
 at least nine tenths of the pairs and medians further apart than the
-parent's interquartile range.  A run that exits nonzero or does not report
-``"correct": true`` stops the script with exit status 1.
+parent's interquartile range.  The metric's ``bound``, read as a fraction of
+the parent's median, flags the rest: ``worse`` when the change's median is
+worse than the parent's by more than the bound, ``unresolved`` when the
+parent's interquartile range alone is wider than the bound.  A run that
+exits nonzero or does not report ``"correct": true`` stops the script with
+exit status 1.
 
 A tree is any directory holding a source checkout, such as a ``git
 worktree`` or ``git archive`` export of the parent commit.
@@ -19,6 +23,7 @@ Usage: python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pai
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -39,7 +44,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     """One row per end-to-end metric over paired runs.
 
     parent[i] and change[i] map metric names to values for pair i; each
-    entry of end_to_end names a metric and its ``better`` direction.
+    entry of end_to_end names a metric, its ``better`` direction and,
+    optionally, its relative ``bound`` (none: never worse or unresolved).
     """
     rows = []
     for metric in end_to_end:
@@ -50,6 +56,7 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         p1, pm, p3 = quartiles(old)
         c1, cm, c3 = quartiles(new)
+        allowed = metric.get("bound", math.inf) * abs(pm)
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -58,6 +65,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             "wins": wins,
             "losses": losses,
             "gain": 10 * wins >= 9 * len(old) and sign * (cm - pm) > p3 - p1,
+            "worse": sign * (pm - cm) > allowed,
+            "unresolved": p3 - p1 > allowed,
         })
     return rows
 
@@ -103,7 +112,8 @@ def main():
         (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
         print(f"  {row['name']:14s} {pm:10.4g} [{p1:.4g}, {p3:.4g}] {row['unit']:>4s}"
               f" {cm:10.4g} [{c1:.4g}, {c3:.4g}] {row['unit']:>4s}"
-              f"  {row['wins']}/{row['losses']}{'  gain' if row['gain'] else ''}")
+              f"  {row['wins']}/{row['losses']}"
+              + "".join(f"  {flag}" for flag in ("gain", "worse", "unresolved") if row[flag]))
 
 
 if __name__ == "__main__":

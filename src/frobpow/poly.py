@@ -10,9 +10,10 @@ The text grammar shared with the CLI: a polynomial is terms joined by '+'
 or '-'; a term is an optional integer coefficient, an optional '*', then
 variable factors ``var`` or ``var^exp`` joined by '*'.  An integer is a run
 of decimal digits; a name starts with a letter or '_' (any word character
-but a decimal digit) and goes on with word characters.  Whitespace may
-separate any two tokens, and a coefficient may be followed by a factor
-without '*' (``2 x`` is 2*x).  Examples::
+but a decimal digit) and goes on with word characters, and a ring's variables
+must be identifiers of that form.  Whitespace may separate any two tokens,
+and a coefficient may be followed by a factor without '*' (``2 x`` is 2*x).
+Examples::
 
     x^5 + y^5        2*x^2*y - 3        x*y^2
 """
@@ -36,6 +37,7 @@ Exponent = tuple[int, ...]
 
 _GREVLEX_KEY = lambda u: (sum(u), tuple(map(neg, reversed(u))))
 _GREVLEX_DESCENDING = lambda u: (-sum(u), u[::-1])
+_NAME = re.compile(r"[^\W\d]\w*")  # a variable name, in a ring and in the grammar
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class PolyRing:
         if len(set(self.variables)) != len(self.variables):
             raise PreconditionError("duplicate variable names")
         for name in self.variables:
-            if not name.isidentifier():
+            if not (name.isidentifier() and _NAME.fullmatch(name)):
                 raise PreconditionError(f"bad variable name {name!r}")
 
     @property
@@ -404,7 +406,7 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 # One match per token; whitespace matches no group, so finditer skips it.
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^])|(?P<bad>\S)")
+_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^])|(?P<bad>\S)")
 
 
 def parse_polynomial(

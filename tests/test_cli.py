@@ -182,8 +182,9 @@ def test_exit_code_parse_error(capsys, tmp_path):
     [
         ("p 2305843009213693951\nvars x y\n", "1:1: characteristic must be below 2^31"),
         ("p 3\nvars x y\nideal a = x^², y\n", "3:13: expected an integer exponent"),
+        ("p 3\nvars x‿y\n", "2:1: bad variable name 'x‿y'"),
     ],
-    ids=["huge-characteristic", "superscript-exponent"],
+    ids=["huge-characteristic", "superscript-exponent", "unwritable-variable"],
 )
 def test_exit_code_parse_error_is_one_line(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.frob"

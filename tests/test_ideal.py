@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobpow.arith import adds_without_carrying
 from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
+from frobpow.frobpower import rational_power
 from frobpow.ideal import (
     Ideal,
     bracket_power,
@@ -98,10 +100,43 @@ def test_frob_power_generator_formula_examples():
 
 
 def test_generator_formula_cap():
+    # two generators give 10^6 + 1 exponent tuples, one past the cap
     R = ring2(2)
     a = ideal(R, "x", "y")
     with pytest.raises(ResourceCapError):
-        frob_power_int_gens(a, 10, cap=5)
+        frob_power_int_gens(a, 10**6)
+
+
+def test_ideal_power_refuses_past_the_composition_cap_at_once():
+    # C(1502, 2) = 1,127,251 generators; the cap fires before any product
+    R = PolyRing(3, ("x", "y", "z"))
+    a = ideal(R, "x+y", "y*z", "z^2")
+    with pytest.raises(ResourceCapError):
+        ideal_power(a, 1500)
+
+
+def test_first_power_is_the_ideal_itself():
+    R = ring2(3)
+    a = ideal(R, "x^2+y^2", "x*y")
+    assert ideal_power(a, 1) is a
+
+
+def test_ideal_power_matches_repeated_products():
+    R = PolyRing(3, ("x", "y", "z"))
+    for a in (ideal(R, "x^2+y^3", "x*y"), ideal(R, "x+y", "y*z+x^2", "z^2")):
+        reference = a
+        for d in range(2, 7):
+            reference = ideal_product(reference, a)
+            assert ideal_power(a, d) == reference, d
+
+
+def test_large_characteristic_digit_power_answers():
+    # digit powers a^d up to d = 200: a sequential product with a Buchberger
+    # compaction past 192 generators took minutes at p = 401
+    R = PolyRing(401, ("x", "y"))
+    a = ideal(R, "x^2+y^3", "x*y")
+    assert rational_power(a, Fraction(1, 2)) == Ideal.unit(R)
+    assert rational_power(a, Fraction(3, 2)) == a
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -325,6 +325,20 @@ def test_ring_tests_the_characteristic_bound_before_primality(monkeypatch):
         PolyRing(2**61 - 1, ("x",))
 
 
+@pytest.mark.parametrize("name", ["x\u203fy", "e\u0301", "x\u00b2", "\u00bd"])
+def test_ring_refuses_a_name_the_grammar_cannot_write(name):
+    # connector punctuation and combining marks are identifier characters
+    # but not word characters; x² and ½ are word characters but no identifier
+    with pytest.raises(PreconditionError, match="bad variable name"):
+        PolyRing(3, (name,))
+
+
+@pytest.mark.parametrize("name", ["x_1", "_a", "\u00e9", "z\u00e9ta"])
+def test_every_declared_variable_parses(name):
+    R = PolyRing(3, (name,))
+    assert R.parse(f"2*{name}^3") == R.var(name) ** 3 * 2
+
+
 def test_ring_rejects_duplicate_vars():
     with pytest.raises(PreconditionError):
         PolyRing(3, ("x", "x"))

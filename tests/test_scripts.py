@@ -135,3 +135,28 @@ def test_bench_pairs_gain_needs_the_medians_apart_by_the_parent_spread():
     assert (row["wins"], row["gain"]) == (4, False)
     (row,) = bench_pairs.summarize(parent[:1], change[:1], end_to_end)
     assert row["parent"] == (1.0, 1.0, 1.0) and row["gain"]
+
+
+def test_bench_pairs_flags_a_regression_past_the_relative_bound():
+    bench_pairs = load_script("bench_pairs")
+    end_to_end = [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "solved_frac", "unit": "ratio", "better": "higher", "bound": 0.0002},
+    ]
+    parent = [{"peak_rss_mb": 24.30, "solved_frac": 1.0}] * 6
+    # +0.1 MB on 24.30 is 0.4%, inside a bound of 10% of the parent's median
+    change = [{"peak_rss_mb": 24.40, "solved_frac": 1.0}] * 6
+    rss, solved = bench_pairs.summarize(parent, change, end_to_end)
+    assert (rss["losses"], rss["worse"], rss["unresolved"]) == (6, False, False)
+    assert not solved["worse"]
+    change = [{"peak_rss_mb": 27.0, "solved_frac": 0.999}] * 6
+    rss, solved = bench_pairs.summarize(parent, change, end_to_end)
+    assert rss["worse"] and solved["worse"]
+    # a parent spread of 20% of its median is wider than the bound
+    parent = [{"peak_rss_mb": v, "solved_frac": 1.0} for v in (20, 22, 24, 26, 28, 30)]
+    rss, _ = bench_pairs.summarize(parent, change, end_to_end)
+    assert (rss["worse"], rss["unresolved"]) == (False, True)
+    # without a bound a metric is never flagged
+    unbounded = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+    (row,) = bench_pairs.summarize(parent, change, unbounded)
+    assert (row["worse"], row["unresolved"]) == (False, False)
