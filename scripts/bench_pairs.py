@@ -11,7 +11,8 @@ at least nine tenths of the pairs and medians further apart than the
 parent's interquartile range.  The metric's ``bound``, read as a fraction of
 the parent's median, flags the rest: ``worse`` when the change's median is
 worse than the parent's by more than the bound, ``unresolved`` when the
-parent's interquartile range alone is wider than the bound.  A run that
+parent's interquartile range alone is wider than the bound, unless the
+metric is worse or every change run beats every parent run.  A run that
 exits nonzero or does not report ``"correct": true`` stops the script with
 exit status 1.
 
@@ -57,6 +58,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         p1, pm, p3 = quartiles(old)
         c1, cm, c3 = quartiles(new)
         allowed = metric.get("bound", math.inf) * abs(pm)
+        worse = sign * (pm - cm) > allowed
+        beats_every_run = min(sign * b for b in new) > max(sign * a for a in old)
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -65,8 +68,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             "wins": wins,
             "losses": losses,
             "gain": 10 * wins >= 9 * len(old) and sign * (cm - pm) > p3 - p1,
-            "worse": sign * (pm - cm) > allowed,
-            "unresolved": p3 - p1 > allowed,
+            "worse": worse,
+            "unresolved": p3 - p1 > allowed and not worse and not beats_every_run,
         })
     return rows
 

@@ -201,7 +201,14 @@ def ideal_power(a: Ideal, k: int) -> Ideal:
         return Ideal.from_monomial(mono_power(a.to_monomial(), k))
     if len(a.gens) == 1:
         return Ideal(a.ring, [a.gens[0] ** k])
-    return a if k == 1 else Ideal(a.ring, _products(a, k))
+    if k == 1:
+        return a
+    # The single-term generators walk as one factor, their monomial ideal M,
+    # and the products inside M^k are pruned.
+    polys = [g for g in a.gens if not g.is_term()]
+    monos = [g.leading_exponent() for g in a.gens if g.is_term()]
+    monos = MonomialIdeal(a.ring, monos) if monos else None
+    return prune_generators(Ideal(a.ring, _products(polys, k, monos=monos)))
 
 
 def bracket_power(a: Ideal, q: int) -> Ideal:
@@ -319,28 +326,45 @@ def frob_power_int_gens(a: Ideal, k: int) -> Ideal:
     if a.is_zero():
         return a
     p = a.ring.p
-    return Ideal(a.ring, _products(a, k, lambda u: multinomial_nonzero_mod_p(u, p)))
+    return Ideal(a.ring, _products(a.gens, k, lambda u: multinomial_nonzero_mod_p(u, p)))
 
 
-def _products(a: Ideal, k: int, keep=None) -> Iterable[Polynomial]:
-    """The products f^u of a's generators over the tuples u with |u| = k that
+def _products(polys, k: int, keep=None, monos: MonomialIdeal | None = None):
+    """The products f^u of the polynomials over the tuples u with |u| = k that
     keep(u) accepts (all without keep).  Each f^e is built once, and one
     multiplication per prefix of u is shared by the tuples that extend it.
-    Refuses before any product when the C(k+m-1, m-1) tuples exceed the cap.
+    With monos, a monomial ideal M, u has one more entry j, and f^u is taken
+    times each minimal generator of M^j.  Refuses before any polynomial
+    product when the products would exceed the cap.
     """
-    m = len(a.gens)
-    if math.comb(k + m - 1, m - 1) > COMPOSITION_CAP:
-        raise ResourceCapError(f"power {k} of {m} generators exceeds cap ({COMPOSITION_CAP})")
-    # None stands for f^0 and for the empty prefix, so a factor 1 costs nothing.
-    powers = [[None, *accumulate(repeat(f, k), mul)] for f in a.gens]
+    r = len(polys)
+    # M^j has j + 1 or more minimal generators when M has two or more (the
+    # vertices of an edge of its Newton polyhedron give them), so the count
+    # has a lower bound, checked before M is raised.
+    m = r + min(len(monos.gens), 2) if monos else r
+    count, table = math.comb(k + m - 1, m - 1), [(None,)]
+    if monos and count <= COMPOSITION_CAP:
+        count = math.comb(k + r - 1, r - 1)
+        for j, power in enumerate(accumulate(repeat(monos, k - 1), mono_product, initial=monos), 1):
+            count += math.comb(k - j + r - 1, r - 1) * len(power.gens)
+            if count > COMPOSITION_CAP:
+                break
+            table.append(power.polynomials())
+    if count > COMPOSITION_CAP:
+        raise ResourceCapError(f"power {k} needs more than COMPOSITION_CAP ({COMPOSITION_CAP}) products")
+    # None stands for 1: a factor f^0 or M^0, and the empty prefix.
+    tables = [[(None,), *((g,) for g in accumulate(repeat(f, k), mul))] for f in polys]
+    tables += [table] if monos else []
     times = lambda g, h: h if g is None else g if h is None else g * h
 
     def walk(i: int, left: int, u: tuple[int, ...], prefix: Polynomial | None):
-        if i < m - 1:
+        if i < len(tables) - 1:
             for e in range(left + 1):
-                yield from walk(i + 1, left - e, u + (e,), times(prefix, powers[i][e]))
+                for g in tables[i][e]:
+                    yield from walk(i + 1, left - e, u + (e,), times(prefix, g))
         elif keep is None or keep(u + (left,)):
-            yield times(prefix, powers[i][left])
+            for g in tables[i][left]:
+                yield times(prefix, g)
 
     return walk(0, k, (), None)
 
@@ -377,13 +401,19 @@ def frob_root_product(a: Ideal, b: Ideal, q: int) -> Ideal:
 
 def _root_split(ring: PolyRing, polys: Iterable[Polynomial], q: int) -> Ideal:
     def parts():
+        # A term part is known by its exponent alone: repeats are dropped
+        # here, as a power's generators can split into millions of them.
+        seen = set()
         for g in polys:
             classes: dict[tuple[int, ...], dict] = {}
             for u, c in g.terms.items():
                 res = tuple(e % q for e in u)
                 classes.setdefault(res, {})[tuple(e // q for e in u)] = c
             for part in classes.values():
-                yield Polynomial(ring, part, _canonical=True)
+                key = next(iter(part)) if len(part) == 1 else frozenset(part.items())
+                if key not in seen:
+                    seen.add(key)
+                    yield Polynomial(ring, part, _canonical=True)
 
     return Ideal(ring, parts())
 

@@ -108,11 +108,13 @@ def test_generator_formula_cap():
 
 
 def test_ideal_power_refuses_past_the_composition_cap_at_once():
-    # C(1502, 2) = 1,127,251 generators; the cap fires before any product
+    # C(1502, 2) = 1,127,251 products, for three two-term generators and for
+    # x + y with the monomial ideal <yz, z^2>, whose j-th power has j + 1
+    # generators; the cap fires before any power is built
     R = PolyRing(3, ("x", "y", "z"))
-    a = ideal(R, "x+y", "y*z", "z^2")
-    with pytest.raises(ResourceCapError):
-        ideal_power(a, 1500)
+    for gens in (("x+y", "y*z+x", "z^2+y"), ("x+y", "y*z", "z^2")):
+        with pytest.raises(ResourceCapError):
+            ideal_power(ideal(R, *gens), 1500)
 
 
 def test_first_power_is_the_ideal_itself():
@@ -121,13 +123,48 @@ def test_first_power_is_the_ideal_itself():
     assert ideal_power(a, 1) is a
 
 
-def test_ideal_power_matches_repeated_products():
-    R = PolyRing(3, ("x", "y", "z"))
-    for a in (ideal(R, "x^2+y^3", "x*y"), ideal(R, "x+y", "y*z+x^2", "z^2")):
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ideal_power_matches_repeated_products(p):
+    # The reference multiplies d - 1 times in a row, as ideal_power once did
+    # (without its compaction).  On ideals with no single-term generator the
+    # oracle frob_power_int_gens shares ideal_power's walk, so this is the
+    # independent check there, over criterion 07's range of exponents.
+    R, S = ring2(p), PolyRing(p, ("x", "y", "z"))
+    cases = [(a, 30) for a in corpus(R)] + [
+        (ideal(R, "x^2+y^3", "x^3+y", "x*y+y^4"), 20),
+        (ideal(R, "x^2+y^3", "x", "y", "x*y", "x^2", "y^2"), 5),
+        (ideal(S, "x^2+y^3", "x*y"), 6),
+        (ideal(S, "x+y", "y*z+x^2", "z^2"), 6),
+    ]
+    for a, top in cases:
         reference = a
-        for d in range(2, 7):
+        for d in range(2, top + 1):
             reference = ideal_product(reference, a)
-            assert ideal_power(a, d) == reference, d
+            assert ideal_power(a, d) == reference, (a, d)
+
+
+def test_mixed_ideal_power_refuses_on_the_count_of_monomial_powers():
+    # two binomials and the six degree-5 monomials: M^j has 5j + 1 minimal
+    # generators, so k = 110 asks for 1,145,816 products, while the bound
+    # from two of M's generators alone is C(113, 3) = 234,136
+    R = ring2(7)
+    monos = [f"x^{i}*y^{5 - i}" for i in range(6)]
+    a = ideal(R, "x^2+y^3", "x^3+y^2", *monos)
+    with pytest.raises(ResourceCapError):
+        ideal_power(a, 110)
+
+
+def test_many_generator_digit_powers_answer():
+    # mixed ideals keep their single-term generators out of the walk: the
+    # first is <x, y>, whose 40th power has 41 generators, not C(45, 5)
+    R = ring2(41)
+    a = ideal(R, "x^2+y^3", "x", "y", "x*y", "x^2", "y^2")
+    assert frob_power_int(a, 40) == ideal_power(maximal(R), 40)
+    assert rational_power(a, Fraction(1, 2)) == Ideal.unit(R)
+    # three generators at larger p: the sequential product took 6.7 s and 40 s
+    for p, gens in ((53, ("x^2+y^3", "x*y", "x^3+y^5")), (101, ("x^2+y^3", "x*y", "y^4"))):
+        R = ring2(p)
+        assert rational_power(ideal(R, *gens), Fraction(1, 2)) == Ideal.unit(R)
 
 
 def test_large_characteristic_digit_power_answers():

@@ -156,6 +156,12 @@ def test_bench_pairs_flags_a_regression_past_the_relative_bound():
     parent = [{"peak_rss_mb": v, "solved_frac": 1.0} for v in (20, 22, 24, 26, 28, 30)]
     rss, _ = bench_pairs.summarize(parent, change, end_to_end)
     assert (rss["worse"], rss["unresolved"]) == (False, True)
+    # but a regression past the bound is worse, not unresolved, and a change
+    # whose every run beats every parent run is resolved however wide
+    for value, flags in ((40.0, (True, False)), (19.0, (False, False))):
+        change = [{"peak_rss_mb": value, "solved_frac": 1.0}] * 6
+        rss, _ = bench_pairs.summarize(parent, change, end_to_end)
+        assert (rss["worse"], rss["unresolved"]) == flags, value
     # without a bound a metric is never flagged
     unbounded = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
     (row,) = bench_pairs.summarize(parent, change, unbounded)
