@@ -37,7 +37,6 @@ from .monomial import (
 from .poly import MonomialOrder, Polynomial, PolyRing
 
 COMPOSITION_CAP = 10**6
-COMPACT_THRESHOLD = 48
 
 
 class Ideal:
@@ -224,9 +223,13 @@ def prune_generators(a: Ideal) -> Ideal:
 
     The single-term generators span a monomial ideal of the kernel; its
     minimal generators are kept, and so is every generator with a term
-    outside it.  Cheap, and usually enough to keep digit products small
-    without a basis computation.
+    outside it.  Cheap, and enough to keep digit products small without a
+    basis computation: every non-monomial root and every high-digit product
+    of frob_power_int, and every digit power, passes through it.  A monomial
+    view is already minimal and is returned as it is.
     """
+    if a._mono is not None:
+        return a
     monos = MonomialIdeal._build(
         a.ring, (g.leading_exponent() for g in a.gens if g.is_term())
     )
@@ -236,23 +239,6 @@ def prune_generators(a: Ideal) -> Ideal:
     if len(kept) == len(a.gens):
         return a
     return Ideal(a.ring, kept)
-
-
-def compact(a: Ideal) -> Ideal:
-    """The same ideal with a smaller generator list when the list has bloated.
-
-    Generator lists explode combinatorially under products; past
-    COMPACT_THRESHOLD generators the cheap monomial-part pruning runs, and
-    past four times that the reduced basis replaces the list.  Monomial
-    ideals are already minimal.
-    """
-    if a.is_monomial:
-        return a
-    if len(a.gens) > COMPACT_THRESHOLD:
-        a = prune_generators(a)
-    if len(a.gens) > 4 * COMPACT_THRESHOLD:
-        a = Ideal(a.ring, a.reduced_basis().polys)
-    return a
 
 
 # The ideal frob_power_int raised last, with its digit powers {d: a^d}, for
@@ -301,15 +287,15 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
         high, d = divmod(high, p)
         q //= p
         if d and result is None:
-            result = compact(frob_root(power(d), p))
+            result = frob_root(power(d), p)
         elif d:
-            result = compact(frob_root_product(result, power(d), p))
+            result = frob_root_product(result, power(d), p)
         elif result is not None:
-            result = compact(frob_root(result, p))
+            result = frob_root(result, p)
     for i, d in enumerate(base_p_digits(high, p)):
         if d:
             term = bracket_power(power(d), p**i)
-            result = term if result is None else compact(ideal_product(result, term))
+            result = term if result is None else prune_generators(ideal_product(result, term))
     return Ideal.unit(a.ring) if result is None else result
 
 
@@ -400,6 +386,10 @@ def frob_root_product(a: Ideal, b: Ideal, q: int) -> Ideal:
 
 
 def _root_split(ring: PolyRing, polys: Iterable[Polynomial], q: int) -> Ideal:
+    """The q-th root of the ideal the polynomials generate, from their
+    residue-class parts, pruned against its single-term parts: most parts of
+    a product are single terms, so this is where a root sheds its bulk."""
+
     def parts():
         # A term part is known by its exponent alone: repeats are dropped
         # here, as a power's generators can split into millions of them.
@@ -415,7 +405,7 @@ def _root_split(ring: PolyRing, polys: Iterable[Polynomial], q: int) -> Ideal:
                     seen.add(key)
                     yield Polynomial(ring, part, _canonical=True)
 
-    return Ideal(ring, parts())
+    return prune_generators(Ideal(ring, parts()))
 
 
 # -- decision procedures ---------------------------------------------------------

@@ -100,9 +100,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return any(not any(u) for u in self.gens)
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def polynomials(self) -> list[Polynomial]:
         """The minimal generators as monomials, in descending ring order."""
         ring = self.ring

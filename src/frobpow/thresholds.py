@@ -118,10 +118,10 @@ def mu(a: Ideal, b: Ideal, q: int, *, _seed: int = 0) -> int:
             return not ideal_contains(b, frob_power_int(a, k, q))
 
     else:
-        # The rooted test would pay here too (perfbench's general-path
-        # mu(a2, m, 625) at p = 5: over 60 s built, 0.1 s rooted), but that
-        # call is the deliberately slow one of perfbench's budget self-test;
-        # the port waits for a benchmark change that picks another.
+        # The rooted test would pay here too (general-path mu(a2, m, 625) at
+        # p = 5, 2-core x86: 1.9 s built, 0.01 s rooted), but rooted, the slow
+        # call of perfbench's budget self-test answers inside its 0.2 s
+        # budget; the port waits for a benchmark change that picks another.
         bq = bracket_power(b, q)
 
         def outside(k: int) -> bool:

@@ -167,6 +167,17 @@ def test_many_generator_digit_powers_answer():
         assert rational_power(ideal(R, *gens), Fraction(1, 2)) == Ideal.unit(R)
 
 
+def test_frobenius_powers_build_no_basis(monkeypatch):
+    # a^[249] at p = 5 is a^4 (a^4)^[5] (a^4)^[25] a^[125]: pruned products
+    # with 250 generators, which no step replaces by a reduced basis
+    def refuse(self, order=None):
+        raise AssertionError("reduced_basis called")
+
+    monkeypatch.setattr(Ideal, "reduced_basis", refuse)
+    R = ring2(5)
+    assert len(frob_power_int(ideal(R, "x^2+x*y", "y^3+x^2*y"), 249).gens) == 250
+
+
 def test_large_characteristic_digit_power_answers():
     # digit powers a^d up to d = 200: a sequential product with a Buchberger
     # compaction past 192 generators took minutes at p = 401

@@ -312,6 +312,16 @@ def test_crit_reconstruct_general_ideal_p3():
     assert report.certified_exact
 
 
+def test_crit_reconstruct_general_ideal_p7():
+    # roots and products here reach 343 generators, and a reduced basis of
+    # each list past 192 once made this search take over 24 s
+    R = ring2(7)
+    report = crit_reconstruct(ideal(R, "x^2+y^2", "x*y"), maximal(R), 3)
+    assert report.mu_list == (6, 48, 342)
+    assert report.candidate == 1
+    assert report.certified_exact
+
+
 @st.composite
 def search_intervals(draw):
     """(p, b_max, c_max, lo, hi, forbidden_cap) with (lo, hi] = (k/p^e, (k+1)/p^e]."""
