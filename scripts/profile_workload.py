@@ -3,11 +3,13 @@
 
 Builds the task list of ``perfbench.workloads.build(workload, seed)``, runs
 every task once under the profiler and prints the top rows by cumulative
-time.  cProfile charges every Python call, so use it to find candidates and
+time.  ``--prefix KEY`` keeps only the tasks whose key starts with KEY
+(``--prefix lce/`` on crit-monomial profiles the least critical exponents).
+cProfile charges every Python call, so use it to find candidates and
 measure any gain with ``perfbench/run.py``.  The cli-readme workload runs
 child processes, which cProfile does not see, so it is not offered.
 
-Usage: PYTHONPATH=src python3 scripts/profile_workload.py <workload> <seed> [rows]
+Usage: PYTHONPATH=src python3 scripts/profile_workload.py <workload> <seed> [rows] [--prefix KEY]
 """
 
 import argparse
@@ -26,12 +28,17 @@ def main():
     parser.add_argument("workload", choices=[w for w in workloads.WORKLOADS if w != "cli-readme"])
     parser.add_argument("seed", type=int)
     parser.add_argument("rows", type=int, nargs="?", default=30)
+    parser.add_argument("--prefix", default="", help="profile only the tasks whose key starts with it")
     args = parser.parse_args()
     tasks = workloads.build(args.workload, args.seed).tasks
+    tasks = [t for t in tasks if t.key.startswith(args.prefix)]
+    if not tasks:
+        parser.error(f"no {args.workload} task key starts with {args.prefix!r}")
     profile = cProfile.Profile()
     for task in tasks:
         profile.runcall(task.fn)
-    print(f"{args.workload}, seed {args.seed}: {len(tasks)} tasks, one pass")
+    keys = f" with keys starting {args.prefix!r}" if args.prefix else ""
+    print(f"{args.workload}, seed {args.seed}: {len(tasks)} tasks{keys}, one pass")
     pstats.Stats(profile, stream=sys.stdout).sort_stats("cumulative").print_stats(args.rows)
 
 

@@ -261,9 +261,11 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     R is then multiplied by a^{[k // q]}.  The digit powers a^d (d < p) are
     kept for the ideal raised last, keyed by identity: calls on the same
     object, as a search makes, build each a^d once between them, and a call
-    on any other object replaces that one entry.  Monomial inputs reach the
-    antichain kernel through the dispatching operations, where each step is
-    one fused product-and-root.
+    on any other object replaces that one entry.  The operations are chosen
+    once per call: when a and the seed are monomial the loop runs on
+    antichains (`mono_root`, one fused product-and-root `mono_product` per
+    step, `mono_bracket`) and the result is wrapped in one view; any other
+    input runs the same loop on the dispatching operations of this module.
     """
     if k < 0:
         raise PreconditionError("negative Frobenius power")
@@ -276,27 +278,38 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
         last = _LAST_RAISED[0] = (a, {})
     powers = last[1]
 
-    def power(d: int) -> Ideal:
+    monomial = a.is_monomial and (seed is None or seed.is_monomial)
+
+    def power(d: int) -> Ideal | MonomialIdeal:
         if d not in powers:
             powers[d] = ideal_power(a, d)
-        return powers[d]
+        return powers[d].to_monomial() if monomial else powers[d]
 
-    result = seed
+    if monomial:
+        root, root_product, bracket = mono_root, mono_product, mono_bracket
+        product = mono_product
+        result = None if seed is None else seed.to_monomial()
+    else:
+        root, root_product, bracket = frob_root, frob_root_product, bracket_power
+        product = lambda r, t: prune_generators(ideal_product(r, t))
+        result = seed
     high = k
     while q > 1:
         high, d = divmod(high, p)
         q //= p
         if d and result is None:
-            result = frob_root(power(d), p)
+            result = root(power(d), p)
         elif d:
-            result = frob_root_product(result, power(d), p)
+            result = root_product(result, power(d), p)
         elif result is not None:
-            result = frob_root(result, p)
+            result = root(result, p)
     for i, d in enumerate(base_p_digits(high, p)):
         if d:
-            term = bracket_power(power(d), p**i)
-            result = term if result is None else prune_generators(ideal_product(result, term))
-    return Ideal.unit(a.ring) if result is None else result
+            term = bracket(power(d), p**i)
+            result = term if result is None else product(result, term)
+    if result is None:
+        return Ideal.unit(a.ring)
+    return Ideal.from_monomial(result) if monomial else result
 
 
 def frob_power_int_gens(a: Ideal, k: int) -> Ideal:

@@ -14,6 +14,10 @@ the step of the digit-by-digit Frobenius roots of
 :func:`frobpow.ideal.frob_power_int`, so p-rational powers, the
 stabilization loop and the mu search never build a^{[k]}, whose staircase
 can hold hundreds of thousands of generators when the root holds a few dozen.
+For a monomial ideal that whole loop runs on antichains, one call here per
+step (`mono_root`, `mono_product`, `mono_bracket`).  In two variables a
+product or a root builds the sorted set of its points and hands it to the
+staircase sweep that `minimalize` runs, with no other layer between.
 
 The Newton-polyhedron routines (`newton_tau`, `newton_fpt`) are the
 characteristic-independent test-ideal oracles.  In every arity they read one
@@ -51,19 +55,24 @@ def minimalize(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """
     pts = sorted(set(map(tuple, exponents)))
     if pts and len(pts[0]) == 2:
-        # Two variables: one sweep with a running y-minimum suffices.
-        kept2: list[Exponent] = []
-        min_y = None
-        for u in pts:
-            if min_y is None or u[1] < min_y:
-                kept2.append(u)
-                min_y = u[1]
-        return tuple(kept2)
+        return _staircase(pts)
     pts.sort(key=sum)
     kept: list[Exponent] = []
     for u in pts:
         if not any(all(a <= b for a, b in zip(v, u)) for v in kept):
             kept.append(u)
+    return tuple(kept)
+
+
+def _staircase(pts: Iterable[Exponent]) -> tuple[Exponent, ...]:
+    """The minimal points of 2-variable exponents sorted lexicographically:
+    one sweep with a running y-minimum keeps each point below all before it."""
+    kept: list[Exponent] = []
+    min_y = math.inf
+    for u in pts:
+        if u[1] < min_y:
+            kept.append(u)
+            min_y = u[1]
     return tuple(kept)
 
 
@@ -87,9 +96,14 @@ class MonomialIdeal:
     @classmethod
     def _build(cls, ring: PolyRing, exponents: Iterable[Exponent]) -> "MonomialIdeal":
         # Trusted internal path: skips per-generator validation.
+        return cls._of(ring, minimalize(exponents))
+
+    @classmethod
+    def _of(cls, ring: PolyRing, gens: tuple[Exponent, ...]) -> "MonomialIdeal":
+        # Trusted internal path: gens are already minimal and in order.
         obj = object.__new__(cls)
         obj.ring = ring
-        obj.gens = minimalize(exponents)
+        obj.gens = gens
         return obj
 
     # -- structure ------------------------------------------------------------
@@ -164,7 +178,9 @@ def mono_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 def mono_product(a: MonomialIdeal, b: MonomialIdeal, q: int = 1) -> MonomialIdeal:
     """Product ideal, or with q > 1 its Frobenius root (ab)^{[1/q]}.
 
-    The root floor-divides each pair sum by q and minimalizes once.  Raises
+    The root floor-divides each pair sum by q and minimalizes once; in two
+    variables the sorted set of sums (or quotients) goes straight to the
+    staircase sweep that `minimalize` runs.  Raises
     ExponentOverflowError as the general path does: that path multiplies
     every pair of generators, so it overflows exactly when some coordinate's
     maxima over a and over b sum past MAX_EXPONENT; that is tested before any
@@ -186,14 +202,15 @@ def mono_product(a: MonomialIdeal, b: MonomialIdeal, q: int = 1) -> MonomialIdea
         gens = [
             tuple((x + y) // q for x, y in zip(u, v)) for u in a.gens for v in b.gens
         ]
-    elif q == 1:
+        return MonomialIdeal._build(a.ring, gens)
+    if q == 1:
         # the hot plain product: floor division by 1 costs ~10% of a mu probe
-        gens = [(ux + vx, uy + vy) for ux, uy in a.gens for vx, vy in b.gens]
+        pts = {(ux + vx, uy + vy) for ux, uy in a.gens for vx, vy in b.gens}
     else:
-        gens = [
+        pts = {
             ((ux + vx) // q, (uy + vy) // q) for ux, uy in a.gens for vx, vy in b.gens
-        ]
-    return MonomialIdeal._build(a.ring, gens)
+        }
+    return MonomialIdeal._of(a.ring, _staircase(sorted(pts)))
 
 
 def _unit(ring: PolyRing) -> MonomialIdeal:
@@ -221,16 +238,14 @@ def mono_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 def mono_bracket(a: MonomialIdeal, q: int) -> MonomialIdeal:
     # Scaling by q keeps the generators minimal and in minimalize's order
     # (lexicographic, and by total degree): no rebuild.
-    out = object.__new__(MonomialIdeal)
-    out.ring = a.ring
-    out.gens = tuple(monomial_scale(u, q) for u in a.gens)
-    return out
+    return MonomialIdeal._of(a.ring, tuple(monomial_scale(u, q) for u in a.gens))
 
 
 def mono_root(a: MonomialIdeal, q: int) -> MonomialIdeal:
     """Frobenius root: componentwise floor division of the generators by q."""
     if a.ring.nvars == 2:
-        return MonomialIdeal._build(a.ring, [(x // q, y // q) for x, y in a.gens])
+        pts = sorted({(x // q, y // q) for x, y in a.gens})
+        return MonomialIdeal._of(a.ring, _staircase(pts))
     return MonomialIdeal._build(a.ring, [tuple(e // q for e in u) for u in a.gens])
 
 

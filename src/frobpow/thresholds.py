@@ -187,39 +187,41 @@ def _denominators(p: int, b_max: int, c_max: int) -> list[int]:
     return sorted(dens)
 
 
-def _forbidden_end(lam: Fraction, p: int, e_cap: int) -> Fraction | None:
-    """k/(q-1) when lam lies strictly inside (k/q, k/(q-1)) for some q = p^e <= p^e_cap."""
+def _forbidden_end(n: int, m: int, p: int, e_cap: int) -> tuple[int, int] | None:
+    """(k, q - 1) when n/m lies strictly inside (k/q, k/(q-1)) for some
+    q = p^e <= p^e_cap, tested in integers: k = floor(n q / m), n q / m is
+    no integer, and n (q - 1) < k m.  That is the whole test for n/m <= 1,
+    where every lce lies (a^{[1]} = a is inside the maximal ideal)."""
     for e in range(1, e_cap + 1):
         q = p**e
-        scaled = lam * q
-        if scaled.denominator == 1:
-            continue
-        k = scaled.numerator // scaled.denominator
-        if k >= 1 and lam * (q - 1) < k:
-            return Fraction(k, q - 1)
+        k, rem = divmod(n * q, m)
+        if rem and k >= 1 and n * (q - 1) < k * m:
+            return k, q - 1
     return None
-
-
-def violates_forbidden_interval(lam: Fraction, p: int, e_cap: int) -> bool:
-    """Whether lam lies strictly inside some (k/q, k/(q-1)) with q = p^e <= p^e_cap."""
-    return _forbidden_end(lam, p, e_cap) is not None
 
 
 def _next_candidate(
     x: Fraction, dens: list[int], p: int, forbidden_cap: int = 0, strict: bool = True
 ) -> Fraction:
     """The smallest k/d > x (>= x unless strict) with d in dens that lies in no
-    forbidden interval (k/q, k/(q-1)) with q <= p^forbidden_cap."""
+    forbidden interval (k/q, k/(q-1)) with q <= p^forbidden_cap.
+
+    The steps run on integer pairs: each d gives the least k with k/d past
+    x, the best (k, d) is kept by cross-multiplication, and one Fraction is
+    built, for the candidate returned.
+    """
+    n, m = x.numerator, x.denominator
     while True:
-        n, m = x.numerator, x.denominator
-        lam = min(
-            Fraction(n * d // m + 1 if strict else -(-n * d // m), d) for d in dens
-        )
-        end = _forbidden_end(lam, p, forbidden_cap) if forbidden_cap else None
+        k, d = None, 1
+        for d2 in dens:
+            k2 = n * d2 // m + 1 if strict else -(-n * d2 // m)
+            if k is None or k2 * d < k * d2:
+                k, d = k2, d2
+        end = _forbidden_end(k, d, p, forbidden_cap) if forbidden_cap else None
         if end is None:
-            return lam
-        # every k/d in (lam, end) is forbidden too; end itself is not
-        x, strict = end, False
+            return Fraction(k, d)
+        # every candidate in (k/d, end) is forbidden too; end itself is not
+        (n, m), strict = end, False
 
 
 def _reconstruct(

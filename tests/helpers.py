@@ -80,6 +80,23 @@ def candidate_grid(p, lo, hi, b_max, c_max):
     return sorted(out)
 
 
+def violates_forbidden_interval(lam, p, e_cap):
+    """Whether lam lies in a forbidden interval: some q = p^e with
+    1 <= e <= e_cap and integer k with k/q < lam < k/(q - 1).
+
+    Written from the definition, as the reference for the integer steps of
+    the critical-exponent search.  k/q < lam < k/(q - 1) says that k lies
+    strictly between lam (q - 1) and lam q, so only the largest integer
+    below lam q can do.
+    """
+    for e in range(1, e_cap + 1):
+        q = p**e
+        k = math.ceil(lam * q) - 1
+        if Fraction(k, q) < lam < Fraction(k, q - 1):
+            return True
+    return False
+
+
 def jumps_reference(a, e_max):
     """(breakpoints, values) of t -> a^{[t]} on the grid k/p^e_max, from the
     power at every grid point with equal neighbours folded.

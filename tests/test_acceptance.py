@@ -22,9 +22,9 @@ from frobpow.ideal import (
     ideal_product,
 )
 from frobpow.monomial import mono_contains, mono_member, newton_tau
-from frobpow.thresholds import lce, mu, nu, violates_forbidden_interval
+from frobpow.thresholds import lce, mu, nu
 
-from helpers import ideal, maximal, random_poly, ring2
+from helpers import ideal, maximal, random_poly, ring2, violates_forbidden_interval
 
 
 def report(criterion, detail=""):

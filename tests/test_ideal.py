@@ -501,6 +501,29 @@ def test_mu_probes_never_build_the_full_power(monkeypatch):
     assert 0 < largest[0] <= 1000
 
 
+def test_monomial_frobenius_powers_stay_on_antichains(monkeypatch):
+    # A monomial a and seed run the whole digit loop in the kernel; the same
+    # ideal made non-monomial by a redundant binomial goes through the
+    # dispatching operations, and gives the reference answers.
+    import frobpow.ideal
+
+    R = ring2(3)
+    a, seed = ideal(R, "x^4", "x*y^2", "y^5"), ideal(R, "x^2", "y")
+    general = Ideal(R, [*a.gens, R.parse("x^4+x*y^2")])
+    # 97 = 10121 and 200 = 21102 in base 3: rooted and high digits, zeros among both
+    cases = [(97, 27, seed), (97, 27, None), (50, 1, seed), (200, 9, None)]
+    want = [frob_power_int(general, k, q, s) for k, q, s in cases]
+
+    def refuse(*args):
+        raise AssertionError("dispatching operation called")
+
+    for name in ("frob_root", "frob_root_product", "ideal_product"):
+        monkeypatch.setattr(frobpow.ideal, name, refuse)
+    assert [frob_power_int(a, k, q, s) for k, q, s in cases] == want
+    with pytest.raises(AssertionError, match="dispatching"):
+        frob_power_int(general, 97, 27)
+
+
 def test_rooted_power_skips_the_overflowing_full_power():
     # a^{[2^23]} has x^(2^63), past the 64-bit bound, but its 2^23-th root is
     # a again: rooting digit by digit never forms the power, on the monomial

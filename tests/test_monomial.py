@@ -8,7 +8,8 @@ from hypothesis import assume, given, strategies as st
 
 from frobpow import monomial
 from frobpow.cli import _ideal_result
-from frobpow.errors import PreconditionError, ResourceCapError
+from frobpow.arith import MAX_EXPONENT
+from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from frobpow.groebner import groebner_basis, normal_form
 from frobpow.ideal import Ideal, frob_root
 from frobpow.monomial import (
@@ -20,6 +21,7 @@ from frobpow.monomial import (
     _newton_facets,
     mono_member,
     mono_power,
+    mono_product,
     mono_root,
     newton_fpt,
     newton_jump_candidates,
@@ -91,6 +93,45 @@ def test_staircase_bisection_matches_brute_force(exps, probes):
     for u in probes:
         assert mono_member(u, a) == any(divides(v, u) for v in exps)
     assert mono_contains(a, b) == all(any(divides(v, u) for v in exps) for u in probes)
+
+
+staircases = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12)
+
+
+@given(p=st.sampled_from([2, 3, 5]), e=st.integers(0, 2), exps_a=staircases, exps_b=staircases)
+def test_two_variable_product_and_root_match_the_generic_build(p, e, exps_a, exps_b):
+    # the kernel sorts the set of pair sums (or quotients) and sweeps it;
+    # the reference is the validated constructor over the same points, and
+    # the minimal points counted one pair at a time
+    R, q = ring2(p), p**e
+    a, b = MonomialIdeal(R, exps_a), MonomialIdeal(R, exps_b)
+    sums = [((u[0] + v[0]) // q, (u[1] + v[1]) // q) for u in a.gens for v in b.gens]
+    roots = [(u[0] // q, u[1] // q) for u in a.gens]
+    for got, pts in ((mono_product(a, b, q), sums), (mono_root(a, q), roots)):
+        assert got == MonomialIdeal(R, pts)
+        assert set(got.gens) == {
+            u for u in pts if not any(v != u and v[0] <= u[0] and v[1] <= u[1] for v in pts)
+        }
+
+
+class _PairGuard(tuple):
+    """A generator tuple that may be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("a pair of generators was formed")
+
+
+def test_two_variable_product_overflow_raises_before_any_pair():
+    R = ring2(2)
+    b = MonomialIdeal(R, [(0, 3), (2**62, 0)])
+    # (2^62 - 1) + 2^62 = MAX_EXPONENT is the largest sum that fits
+    fits = MonomialIdeal(R, [(2**62 - 1, 0), (0, 1)])
+    assert mono_product(fits, b).gens[-1] == (MAX_EXPONENT, 0)
+    a = MonomialIdeal(R, [(2**62, 0), (0, 1)])
+    a.gens, b.gens = _PairGuard(a.gens), _PairGuard(b.gens)
+    for q in (1, 2, 4):
+        with pytest.raises(ExponentOverflowError):
+            mono_product(a, b, q)
 
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elimination((1,))]

@@ -94,6 +94,13 @@ def test_profile_workload_prints_a_profile():
     assert "frobpow" in out
 
 
+def test_profile_workload_keeps_the_tasks_of_one_prefix():
+    out = run_script("profile_workload.py", "crit-monomial", "1", "40", "--prefix", "lce/")
+    # crit-monomial has one lce task per characteristic 2, 3, 5, 7, 11
+    assert out.splitlines()[0] == "crit-monomial, seed 1: 5 tasks with keys starting 'lce/', one pass"
+    assert "(lce)" in out and "(crit_reconstruct)" not in out
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

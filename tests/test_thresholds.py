@@ -19,10 +19,9 @@ from frobpow.thresholds import (
     lce,
     mu,
     nu,
-    violates_forbidden_interval,
 )
 
-from helpers import candidate_grid, ideal, maximal, ring2
+from helpers import candidate_grid, ideal, maximal, ring2, violates_forbidden_interval
 
 
 def test_mu_examples():
