@@ -2,13 +2,15 @@
 """Paired benchmark runs of two source trees, parent and change.
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T`` in each tree,
-pair after pair.  Pair i uses seed first_seed + i for both sides, and the
-side that runs first alternates, so drift on the machine falls on both.
-Prints, per end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, how many pairs the change won (by the metric's ``better``
-direction; ties count for neither side), and whether that is a gain: wins in
-at least nine tenths of the pairs and medians further apart than the
-parent's interquartile range.  The metric's ``bound``, read as a fraction of
+pair after pair, for each named workload (``all``: every workload of
+``BENCHMARK.json``).  Pair i uses seed first_seed + i for both sides and
+every workload, and the side that runs first alternates, so drift on the
+machine falls on both.  Prints one table per workload: per end-to-end metric
+of ``BENCHMARK.json``, each side's median and quartiles, how many pairs the
+change won (by the metric's ``better`` direction; ties count for neither
+side), and whether that is a gain: wins in at least nine tenths of the pairs
+and medians further apart than the parent's interquartile range.  The
+metric's ``bound``, read as a fraction of
 the parent's median, flags the rest: ``worse`` when the change's median is
 worse than the parent's by more than the bound, ``unresolved`` when the
 parent's interquartile range alone is wider than the bound, unless the
@@ -19,7 +21,7 @@ exit status 1.
 A tree is any directory holding a source checkout, such as a ``git
 worktree`` or ``git archive`` export of the parent commit.
 
-Usage: python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N [--seconds S] [--first-seed S0]
+Usage: python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W [W ...] --pairs N [--seconds S] [--first-seed S0]
 """
 
 import argparse
@@ -91,7 +93,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True, help="workload names, or all")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
@@ -99,24 +101,32 @@ def main():
     for tree in (args.parent, args.change):
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} holds no perfbench/run.py")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in benchmark["workloads"]]
+    workloads = known if args.workload == ["all"] else args.workload
+    for name in workloads:
+        if name not in known:
+            parser.error(f"unknown workload {name!r}; BENCHMARK.json has {', '.join(known)} or all")
+    runs = {name: {"parent": [], "change": []} for name in workloads}
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first): wall_s "
-              f"{runs['parent'][-1]['wall_s']:.4g} -> {runs['change'][-1]['wall_s']:.4g}", flush=True)
+        for name in workloads:
+            for side in order:
+                runs[name][side].append(run_once(getattr(args, side), name, seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) {name}: wall_s "
+                  f"{runs[name]['parent'][-1]['wall_s']:.4g} -> {runs[name]['change'][-1]['wall_s']:.4g}",
+                  flush=True)
     last = args.first_seed + args.pairs - 1
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.first_seed}-{last}, --seconds {args.seconds}")
-    print(f"  {'metric':14s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins/losses")
-    for row in summarize(runs["parent"], runs["change"], end_to_end):
-        (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
-        print(f"  {row['name']:14s} {pm:10.4g} [{p1:.4g}, {p3:.4g}] {row['unit']:>4s}"
-              f" {cm:10.4g} [{c1:.4g}, {c3:.4g}] {row['unit']:>4s}"
-              f"  {row['wins']}/{row['losses']}"
-              + "".join(f"  {flag}" for flag in ("gain", "worse", "unresolved") if row[flag]))
+    for name in workloads:
+        print(f"{name}: {args.pairs} pairs, seeds {args.first_seed}-{last}, --seconds {args.seconds}")
+        print(f"  {'metric':14s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins/losses")
+        for row in summarize(runs[name]["parent"], runs[name]["change"], benchmark["end_to_end"]):
+            (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
+            print(f"  {row['name']:14s} {pm:10.4g} [{p1:.4g}, {p3:.4g}] {row['unit']:>4s}"
+                  f" {cm:10.4g} [{c1:.4g}, {c3:.4g}] {row['unit']:>4s}"
+                  f"  {row['wins']}/{row['losses']}"
+                  + "".join(f"  {flag}" for flag in ("gain", "worse", "unresolved") if row[flag]))
 
 
 if __name__ == "__main__":

@@ -1,80 +1,129 @@
 """Buchberger engine: reduced Groebner bases and normal forms.
 
-Plain Buchberger with the product and chain pair-elimination criteria; no
-F4/F5.  Inputs are desk scale and the priority is determinism: a fixed order
-and generator list always produce the bit-identical reduced basis, so reduced
+Buchberger's algorithm with the Gebauer-Moeller pair update; no F4/F5.
+Inputs are desk scale and the priority is determinism: a fixed order and
+generator list always produce the bit-identical reduced basis, so reduced
 bases double as canonical forms for ideal equality.
 
-The engine works on raw term dictionaries.  Each basis element travels as a
-reducer, its leading exponent beside its monic term dict, from the moment
-:func:`_monic` finds the lead until :class:`GroebnerBasis` hands it out.
-Every term and every S-pair is keyed once: division is the heap division of
-Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007), which keys a term when it enters the
-heap and pops the largest next, and the pending S-pairs wait in a heap
-keyed when each pair is made.  No step rescans a dict for its largest term
-or its next pair.  The ideal-level wrappers (containment, equality,
-elimination) live in :mod:`frobpow.ideal`.
+Inside the engine a monomial is one int (Bachmann and Schoenemann, ISSAC
+1998).  Its high fields pack the order's weight rows: the unit rows for lex;
+the degree, then the reversed prefix sums, for grevlex; grevlex on each block
+for a block order.  Its low fields pack the exponents, 64 bits each with a
+guard bit at bit 63.  So ints compare as the monomials do, a product is
+``+``, l divides m exactly when ``(m - l) & guard`` is 0, and a formed term
+with a guard bit set is past MAX_EXPONENT.  Division is the heap division of
+Monagan and Pearce (CASC 2007).  Pairs follow the UPDATE step of Becker and
+Weispfenning (*Groebner Bases*, 1993, p. 230), after Gebauer and Moeller
+(J. Symbolic Comput. 6, 1988): a new element makes only the pairs the chain
+and product criteria keep, drops the pending pairs it makes redundant, and
+retires the elements whose leads its lead divides.  A retired element makes
+no pairs and reduces nothing, but its pending pairs stay.  The ideal-level
+wrappers (containment, equality, elimination) live in :mod:`frobpow.ideal`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import takewhile
-from operator import add, le, sub
+from operator import itemgetter, mul
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from .poly import Exponent, MonomialOrder, Polynomial, PolyRing
 
 Terms = dict[Exponent, int]
+Packed = dict[int, int]  # packed monomial -> coefficient
+_Reducer = tuple[int, Packed]  # (packed lead, packed terms) of a monic polynomial
 
-# (leading exponent, term dict) of a monic polynomial, sorted by lead
-_Reducer = tuple[Exponent, Terms]
+# S-polynomials one Buchberger run may reduce.  A reduction costs more as the
+# basis grows: 0.05-0.5 ms on the perfbench gb pool, 2-13 ms in runs that
+# last seconds (Python 3.11, one Xeon core).  Five random 3- and 4-variable
+# ideals that ran past 10 s had reduced 596-1379 by then, so the cap stops
+# such a run at about 10 s.  The test suite's largest run reduces 125.
+S_PAIR_CAP = 1000
+
+_FIELD, _LOW = 64, (1 << 64) - 1
 
 
-def _reduce_full(f: Terms, reducers: Sequence[_Reducer], p: int, key) -> Terms:
+class _Packing:
+    """The packed monomials of one order in n variables; ``cols[j]`` packs x_j."""
+
+    __slots__ = ("cols", "shifts", "guard")
+
+    def __init__(self, order: MonomialOrder, n: int):
+        if order.kind == "lex":
+            blocks = [[j] for j in range(n)]
+        elif order.kind in ("grevlex", "block"):
+            lead = order.lead if order.kind == "block" else range(n)
+            blocks = [list(lead), [j for j in range(n) if j not in lead]]
+        else:
+            raise PreconditionError(f"unknown monomial order kind {order.kind!r}")
+        # a block's prefixes, longest first, are its grevlex rows; a row sums
+        # at most n exponents, and a formed term adds two rows
+        rows = [block[:k] for block in blocks for k in range(len(block), 0, -1)]
+        at = [_FIELD * n + (_FIELD + 1 + n.bit_length()) * r for r in reversed(range(len(rows)))]
+        self.cols = tuple((1 << _FIELD * j) + sum(1 << a for row, a in zip(rows, at) if j in row)
+                          for j in range(n))
+        self.shifts = tuple(range(0, _FIELD * n, _FIELD))
+        self.guard = sum(1 << s + _FIELD - 1 for s in self.shifts)
+
+    def pack(self, u: Exponent) -> int:
+        return sum(map(mul, u, self.cols))
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple(map(_LOW.__and__, map(m.__rshift__, self.shifts)))
+
+    def pack_terms(self, f: Terms) -> Packed:
+        return {self.pack(u): c for u, c in f.items()}
+
+    def unpack_terms(self, f: Packed) -> Terms:
+        return {self.unpack(m): c for m, c in f.items()}
+
+
+_packing = lru_cache(maxsize=None)(_Packing)
+
+
+def _reduce_full(f: Packed, reducers: Sequence[_Reducer], p: int, guard: int) -> Packed:
     """Full normal form of f: no remaining term is divisible by any lead.
 
-    ``key`` is the order's descending key.  Each term is keyed once, when it
-    enters the heap as the one tuple key(m) + (m,), and the largest is popped
-    next.  A reduction step adds only terms below the one it removes, so a
-    popped monomial never returns; one whose coefficient cancelled stays in
-    ``work`` at 0 and is skipped.
+    ``guard`` is the packing's guard mask.  A reduction step adds only terms
+    below the one it removes, so a popped monomial never returns; one whose
+    coefficient cancelled stays in ``work`` at 0 and is skipped.
     """
-    result: Terms = {}
+    result: Packed = {}
     work = dict(f)
-    heap = [key(m) + (m,) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     while heap:
-        m = heappop(heap)[-1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
         for lm, g in reducers:
-            if all(map(le, lm, m)):
+            if not (shift := m - lm) & guard:
                 break
         else:
             result[m] = c
             continue
-        shift = tuple(map(sub, m, lm))
         for gm, gc in g.items():
             if gm != lm:
-                nm = tuple(map(add, gm, shift))
+                nm = gm + shift
                 old = work.get(nm)
                 if old is None:
+                    if nm & guard:
+                        raise ExponentOverflowError("a Groebner term exponent exceeds the 64-bit bound")
                     work[nm] = -c * gc % p
-                    heappush(heap, key(nm) + (nm,))
+                    heappush(heap, -nm)
                 else:
                     work[nm] = (old - c * gc) % p
     return result
 
 
-def _monic(f: Terms, p: int, key) -> _Reducer:
-    """The reducer of f: its lead and f scaled to leading coefficient 1.
-    ``key`` is the order's descending key."""
-    lead = min(f, key=key)
+def _monic(f: Packed, p: int) -> _Reducer:
+    """The reducer of packed f: its lead and f scaled to leading coefficient 1."""
+    lead = max(f)
     lc = f[lead]
     if lc != 1:
         inv = pow(lc, p - 2, p)
@@ -82,74 +131,73 @@ def _monic(f: Terms, p: int, key) -> _Reducer:
     return lead, f
 
 
-def _buchberger(gens: list[Terms], p: int, order: MonomialOrder) -> list[_Reducer]:
-    """Reduced Groebner basis of the given generators, as reducers."""
-    key, desc = order.sort_key(), order.descending_key()
+def _buchberger(gens: list[Terms], p: int, packing: _Packing) -> list[_Reducer]:
+    """Reduced Groebner basis of the given generators, as packed reducers."""
+    guard, pack, unpack = packing.guard, packing.pack, packing.unpack
     first: list[_Reducer] = []
-    for g in sorted((_monic(f, p, desc) for f in gens if f), key=lambda g: key(g[0])):
+    for g in sorted((_monic(packing.pack_terms(f), p) for f in gens if f), key=itemgetter(0)):
         # Equal generators share a lead, so a repeat of g sits in the run of
         # g's lead at the end of the list.
         if g not in takewhile(lambda h: h[0] == g[0], reversed(first)):
             first.append(g)
-    G: list[_Reducer] = []  # in insertion order; pairs index into it
+    elements: list[_Reducer] = []  # in insertion order; pairs index into it
+    basis: list[int] = []  # the elements not retired
     reducers: list[_Reducer] = []  # the same elements, sorted by lead
-    # waiting[j] holds each i < j whose pair (i, j) is unselected, and the
-    # heap holds key(lcm) + (i, j) for each such pair.  A pair leaves both
-    # only when it is selected, so the heap's minimum is the next pair; the
-    # keys of one order have one length, so (i, j) breaks ties.
-    waiting: list[set[int]] = []
-    queue: list[tuple] = []
+    pairs: dict[tuple[int, int], int] = {}  # pending (i, j), i < j -> lcm of the leads
 
-    def insert(g: _Reducer):
-        new, lead = len(G), g[0]
-        waiting.append(set(range(new)))
-        for k, (lk, _) in enumerate(G):
-            heappush(queue, key(tuple(map(max, lk, lead))) + (k, new))
-        G.append(g)
-        # The first elements arrive sorted, and a fully reduced remainder's
-        # lead equals no earlier lead, so this is the place a stable sort of
-        # G by lead would give it.
-        insort(reducers, g, key=lambda r: key(r[0]))
-
-    def handled(a: int, b: int) -> bool:
-        return a not in waiting[b] if a < b else b not in waiting[a]
+    def update(h: _Reducer):
+        new, lead = len(elements), h[0]
+        e = unpack(lead)
+        lcms = [pack(tuple(map(max, e, unpack(g[0])))) for g in elements]
+        # Chain criterion: (k, new) goes when a later candidate's or a kept pair's
+        # lcm divides its lcm; coprime leads stay to drop others, then go.
+        candidates = [(lcms[k], k) for k in basis]
+        kept: list[tuple[int, int]] = []
+        for n, (l, k) in enumerate(candidates):
+            if l == lead + elements[k][0] or not any(
+                not (l - other) & guard for other, _ in candidates[n + 1 :] + kept
+            ):
+                kept.append((l, k))
+        # A pending pair goes when the new lead divides its lcm, unless that
+        # lcm is the new lead's lcm with one of the pair's leads.
+        for (i, j), l in list(pairs.items()):
+            if not (l - lead) & guard and lcms[i] != l and lcms[j] != l:
+                del pairs[i, j]
+        pairs.update(((k, new), l) for l, k in kept if l != lead + elements[k][0])
+        basis[:] = [k for k in basis if (elements[k][0] - lead) & guard] + [new]
+        reducers[:] = [r for r in reducers if (r[0] - lead) & guard]
+        elements.append(h)
+        insort(reducers, h, key=itemgetter(0))
 
     for g in first:
-        insert(g)
-    while queue:
-        *_, i, j = heappop(queue)
-        waiting[j].remove(i)
-        li, lj = G[i][0], G[j][0]
-        lij = tuple(map(max, li, lj))
-        # Product criterion: coprime leads always reduce to zero.
-        if all(a + b == c for a, b, c in zip(li, lj, lij)):
-            continue
-        # Chain criterion: some third lead divides the lcm and both linking
-        # pairs are already handled.
-        if any(
-            k != i and k != j and all(map(le, lk, lij)) and handled(i, k) and handled(j, k)
-            for k, (lk, _) in enumerate(G)
-        ):
-            continue
-        s: Terms = {}
-        for (lm, g), sign in ((G[i], 1), (G[j], -1)):
-            shift = tuple(map(sub, lij, lm))
+        update(g)
+    reduced = 0
+    while pairs:
+        l, i, j = min((l, i, j) for (i, j), l in pairs.items())  # the least lcm next
+        del pairs[i, j]
+        reduced += 1
+        if reduced > S_PAIR_CAP:
+            raise ResourceCapError(f"Groebner basis needs more than S_PAIR_CAP ({S_PAIR_CAP}) S-polynomial "
+                                   f"reductions: reached {reduced} with {len(pairs)} pairs pending")
+        s: Packed = {}
+        for (lm, g), sign in ((elements[i], 1), (elements[j], -1)):
             for gm, gc in g.items():
-                nm = tuple(map(add, gm, shift))
+                nm = gm + l - lm
+                if nm & guard:
+                    raise ExponentOverflowError("a Groebner term exponent exceeds the 64-bit bound")
                 nc = (s.get(nm, 0) + sign * gc) % p
                 if nc:
                     s[nm] = nc
                 elif nm in s:
                     del s[nm]
-        r = _reduce_full(s, reducers, p, desc)
+        r = _reduce_full(s, reducers, p, guard)
         if r:
-            insert(_monic(r, p, desc))
-    return _interreduce(reducers, p, desc)
+            update(_monic(r, p))
+    return _interreduce(reducers, p, guard)
 
 
-def _interreduce(reducers: list[_Reducer], p: int, key) -> list[_Reducer]:
+def _interreduce(reducers: list[_Reducer], p: int, guard: int) -> list[_Reducer]:
     """Prune reducers sorted by lead to the reduced basis, in the same order.
-    ``key`` is the order's descending key.
 
     A kept lead divides no other kept lead, so reducing a kept element by
     the others leaves its leading term, and the result is monic with the
@@ -157,10 +205,10 @@ def _interreduce(reducers: list[_Reducer], p: int, key) -> list[_Reducer]:
     """
     kept: list[_Reducer] = []
     for lm, f in reducers:
-        if not any(all(map(le, v, lm)) for v, _ in kept):
+        if all((lm - v) & guard for v, _ in kept):
             kept.append((lm, f))
     return [
-        (lm, _reduce_full(f, kept[:i] + kept[i + 1 :], p, key))
+        (lm, _reduce_full(f, kept[:i] + kept[i + 1 :], p, guard))
         for i, (lm, f) in enumerate(kept)
     ]
 
@@ -168,17 +216,18 @@ def _interreduce(reducers: list[_Reducer], p: int, key) -> list[_Reducer]:
 class GroebnerBasis:
     """Reduced Groebner basis: monic, interreduced, sorted by ascending lead.
 
-    ``reducers`` holds each element as (lead, term dict); ``polys`` holds the
-    same elements as polynomials.
+    ``reducers`` holds each element as (lead, term dict) and ``polys`` as a
+    polynomial.
     """
 
-    __slots__ = ("ring", "order", "reducers", "polys")
+    __slots__ = ("ring", "order", "reducers", "polys", "_packing")
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, reducers: Sequence[_Reducer]):
+    def __init__(self, ring: PolyRing, order: MonomialOrder, packing: _Packing, packed: Sequence[_Reducer]):
         self.ring = ring
         self.order = order
-        self.reducers = tuple(reducers)
-        self.polys = tuple(Polynomial(ring, f, _canonical=True) for _, f in reducers)
+        self._packing = packing
+        self.polys = tuple(Polynomial(ring, packing.unpack_terms(f), _canonical=True) for _, f in packed)
+        self.reducers = tuple((packing.unpack(lm), g.terms) for (lm, _), g in zip(packed, self.polys))
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(str(g) for g in self.polys)}]"
@@ -186,8 +235,14 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant()
 
+    def _remainder(self, f: Polynomial) -> Packed:
+        # packed per call, so that a cached basis keeps one copy of its terms
+        pk = self._packing
+        packed = [(pk.pack(lm), pk.pack_terms(g)) for lm, g in self.reducers]
+        return _reduce_full(pk.pack_terms(f.terms), packed, self.ring.p, pk.guard)
+
     def reduces_to_zero(self, f: Polynomial) -> bool:
-        return not _reduce_full(dict(f.terms), self.reducers, self.ring.p, self.order.descending_key())
+        return not self._remainder(f)
 
 
 def groebner_basis(
@@ -205,13 +260,12 @@ def groebner_basis(
         if g.ring != ring:
             raise PreconditionError("generators live in different rings")
     order = order or ring.order
-    reducers = _buchberger([dict(g.terms) for g in gens], ring.p, order)
-    return GroebnerBasis(ring, order, reducers)
+    packing = _packing(order, ring.nvars)
+    return GroebnerBasis(ring, order, packing, _buchberger([g.terms for g in gens], ring.p, packing))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique remainder of f modulo gb; zero exactly on ideal members."""
     if f.ring != gb.ring:
         raise PreconditionError("polynomial and basis live in different rings")
-    r = _reduce_full(dict(f.terms), gb.reducers, f.ring.p, gb.order.descending_key())
-    return Polynomial(f.ring, r, _canonical=True)
+    return Polynomial(f.ring, gb._packing.unpack_terms(gb._remainder(f)), _canonical=True)

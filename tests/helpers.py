@@ -189,6 +189,56 @@ def reduce_full_reference(f, reducers, p, key):
     return result
 
 
+def buchberger_reference(gens, p, key):
+    """Reduced Groebner basis of the term dicts gens, ``key`` the order's
+    ascending sort key, as monic (lead, terms) sorted by ascending lead.
+
+    Every pair is reduced by reduce_full_reference, with no criterion to skip
+    any; then each element whose lead another lead divides is dropped (of
+    equal leads the first stays), and each one left is reduced by the rest.
+    The Groebner engine's reference for its packed division and pair update.
+    """
+
+    def monic(f):
+        lead = max(f, key=key)
+        inv = pow(f[lead], -1, p)
+        return lead, {m: c * inv % p for m, c in f.items()}
+
+    basis = [monic(f) for f in gens if f]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # the pair of least lcm next (the normal strategy)
+        lcm, i, j = min(
+            ((tuple(map(max, basis[i][0], basis[j][0])), i, j) for i, j in pairs),
+            key=lambda e: key(e[0]),
+        )
+        pairs.remove((i, j))
+        s = {}
+        for (lead, f), sign in ((basis[i], 1), (basis[j], -1)):
+            shift = tuple(map(operator.sub, lcm, lead))
+            for m, c in f.items():
+                nm = tuple(map(operator.add, m, shift))
+                s[nm] = (s.get(nm, 0) + sign * c) % p
+        r = reduce_full_reference({m: c for m, c in s.items() if c}, basis, p, key)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(monic(r))
+    minimal = [
+        (lead, f)
+        for k, (lead, f) in enumerate(basis)
+        if not any(
+            all(map(operator.le, other, lead)) and (other != lead or h < k)
+            for h, (other, _) in enumerate(basis)
+            if h != k
+        )
+    ]
+    reduced = [
+        (lead, reduce_full_reference(f, [r for r in minimal if r[0] != lead], p, key))
+        for lead, f in minimal
+    ]
+    return sorted(reduced, key=lambda r: key(r[0]))
+
+
 def newton_member_fm(a, w, scale, strict):
     """w/scale in the Newton polyhedron of a (interior when strict).
 

@@ -1,13 +1,18 @@
 import random
+from itertools import product
+from operator import add, le
 
 import pytest
 from hypothesis import given, strategies as st
 
-from frobpow.groebner import _monic, _reduce_full, groebner_basis, normal_form
+from frobpow import groebner
+from frobpow.arith import MAX_EXPONENT
+from frobpow.errors import ExponentOverflowError, ResourceCapError
+from frobpow.groebner import _monic, _packing, _reduce_full, groebner_basis, normal_form
 from frobpow.ideal import Ideal, eliminate, ideal_contains
 from frobpow.poly import MonomialOrder, PolyRing
 
-from helpers import ideal, maximal, random_poly, reduce_full_reference, ring2
+from helpers import buchberger_reference, ideal, maximal, random_poly, reduce_full_reference, ring2
 
 LEX = MonomialOrder.lex()
 ORDERS = [MonomialOrder.grevlex(), LEX, MonomialOrder.elimination([0])]
@@ -80,12 +85,12 @@ def test_membership_of_explicit_combinations(p):
 
 
 @st.composite
-def basis_cases(draw):
+def basis_cases(draw, max_exponent=3):
     """(ring, generators): 2 or 3 variables, p in {2, 3, 5}, each order."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.sampled_from([2, 3]))
     R = PolyRing(p, ("x", "y", "z")[:n], draw(st.sampled_from(ORDERS)))
-    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(1, p - 1))
+    term = st.tuples(st.tuples(*[st.integers(0, max_exponent)] * n), st.integers(1, p - 1))
     polys = st.lists(term, min_size=1, max_size=3).map(R.poly)
     return R, draw(st.lists(polys, min_size=1, max_size=3))
 
@@ -111,16 +116,85 @@ def test_heap_division_matches_the_rescanning_reference(case, data):
     reduced basis and by the generators themselves (not a basis, so which
     reducer divides first matters)."""
     R, gens = case
-    key, desc = R.sort_key(), R.order.descending_key()
+    key, packing = R.sort_key(), _packing(R.order, R.nvars)
     p = R.p
     raw = sorted(
-        (_monic(dict(g.terms), p, desc) for g in gens if not g.is_zero()),
-        key=lambda r: key(r[0]),
+        (_monic(packing.pack_terms(g.terms), p) for g in gens if not g.is_zero()),
+        key=lambda r: r[0],
     )
     term = st.tuples(st.tuples(*[st.integers(0, 5)] * R.nvars), st.integers(1, p - 1))
-    for reducers in (groebner_basis(gens).reducers, raw):
+    basis = [(packing.pack(lm), packing.pack_terms(g)) for lm, g in groebner_basis(gens).reducers]
+    for packed in (basis, raw):
+        reducers = [(packing.unpack(lm), packing.unpack_terms(g)) for lm, g in packed]
         f = data.draw(st.lists(term, max_size=6).map(R.poly)).terms
-        assert _reduce_full(f, reducers, p, desc) == reduce_full_reference(f, reducers, p, key)
+        remainder = _reduce_full(packing.pack_terms(f), packed, p, packing.guard)
+        assert packing.unpack_terms(remainder) == reduce_full_reference(f, reducers, p, key)
+
+
+# The reference reduces every pair by rescanning division, so cases stay at
+# exponent 2: at 3, one block-order case took it 19 s (2,025 reductions).
+@given(case=basis_cases(max_exponent=2))
+def test_basis_matches_the_reference_buchberger(case):
+    R, gens = case
+    expect = buchberger_reference([g.terms for g in gens], R.p, R.sort_key())
+    assert list(groebner_basis(gens).reducers) == expect
+
+
+@given(data=st.data())
+def test_packed_monomials_follow_the_order(data):
+    n = data.draw(st.integers(1, 4))
+    order = data.draw(st.sampled_from(
+        ORDERS + [MonomialOrder.elimination([n - 1]), MonomialOrder.elimination(range(n))]
+    ))
+    exponent = st.integers(0, 3) | st.integers(0, MAX_EXPONENT)
+    u, w = data.draw(st.tuples(*[st.tuples(*[exponent] * n)] * 2))
+    key, packing = order.sort_key(), _packing(order, n)
+    pu, pw = packing.pack(u), packing.pack(w)
+    assert (pu < pw) == (key(u) < key(w))
+    assert (pu == pw) == (u == w)
+    assert packing.unpack(pu) == u
+    assert (not (pw - pu) & packing.guard) == all(map(le, u, w))
+    # a sum packs additively while it fits; past MAX_EXPONENT the guard shows
+    total = tuple(map(add, u, w))
+    if max(total) <= MAX_EXPONENT:
+        assert pu + pw == packing.pack(total) and not (pu + pw) & packing.guard
+    else:
+        assert (pu + pw) & packing.guard
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packing_orders_the_extreme_monomials(n):
+    # a weight row sums up to n maximal exponents and must not carry into
+    # the row above it
+    corners = list(product((0, 1, MAX_EXPONENT - 1, MAX_EXPONENT), repeat=n))
+    for order in ORDERS + [MonomialOrder.elimination([n - 1])]:
+        key, packing = order.sort_key(), _packing(order, n)
+        assert sorted(corners, key=packing.pack) == sorted(corners, key=key)
+
+
+def test_basis_refuses_an_exponent_past_the_bound():
+    # under lex the S-polynomial of x + 4*y^MAX and x*y + 4 is 4*y^(MAX+1) - 4
+    R = PolyRing(5, ("x", "y"), LEX)
+    f = R.poly([((1, 0), 1), ((0, MAX_EXPONENT), 4)])
+    with pytest.raises(ExponentOverflowError):
+        groebner_basis([f, R.parse("x*y + 4")])
+    # and dividing x*y by x + 4*y^MAX would leave y^(MAX+1)
+    with pytest.raises(ExponentOverflowError):
+        normal_form(R.parse("x*y"), groebner_basis([f]))
+
+
+def test_s_pair_cap_stops_a_long_run(monkeypatch):
+    # pool ideal 29 of the benchmark's gb corpus reduces 41 S-polynomials
+    R = PolyRing(3, ("x", "y", "z"))
+    gens = ["x^2*y^2*z + x^2*y*z^2 + 2*y", "2*x*y*z^3 + x^2 + z", "x^4*z + x + 2*x*z"]
+    a = ideal(R, *gens)
+    monkeypatch.setattr(groebner, "S_PAIR_CAP", 40)
+    with pytest.raises(ResourceCapError, match=r"S_PAIR_CAP \(40\).*reached 41"):
+        groebner_basis(a.gens)
+    with pytest.raises(ResourceCapError, match="S_PAIR_CAP"):
+        a.is_unit()
+    monkeypatch.setattr(groebner, "S_PAIR_CAP", 41)
+    assert len(groebner_basis(a.gens).polys) == 13
 
 
 @given(

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -173,3 +174,48 @@ def test_bench_pairs_flags_a_regression_past_the_relative_bound():
     unbounded = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
     (row,) = bench_pairs.summarize(parent, change, unbounded)
     assert (row["worse"], row["unresolved"]) == (False, False)
+
+
+# A stand-in for perfbench/run.py: logs each call's workload and seed, and
+# reports the wall_s stored beside it.
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+
+here = Path(__file__).parent
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(here / "calls", "a") as log:
+    log.write(f"{args['--workload']} {args['--seed']}\\n")
+metrics = {"wall_s": float((here / "wall").read_text()), "task_p50_ms": 1.0, "task_p90_ms": 2.0,
+           "solved_frac": 1.0, "setup_s": 0.1, "peak_rss_mb": 20.0}
+print(json.dumps({"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+"""
+
+
+def test_bench_pairs_runs_every_named_workload_in_each_pair(tmp_path):
+    trees = []
+    for side, wall in (("parent", "2.0"), ("change", "1.0")):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+        (tmp_path / side / "perfbench" / "wall").write_text(wall)
+        trees.append(str(tmp_path / side))
+    out = run_script("bench_pairs.py", *trees, "--workload", "general-path", "cli-readme",
+                     "--pairs", "2", "--seconds", "0", "--first-seed", "7")
+    for side in ("parent", "change"):
+        calls = (tmp_path / side / "perfbench" / "calls").read_text().splitlines()
+        assert calls == ["general-path 7", "cli-readme 7", "general-path 8", "cli-readme 8"]
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "pair 1/2 (seed 7, parent first) general-path: wall_s 2 -> 1",
+        "pair 1/2 (seed 7, parent first) cli-readme: wall_s 2 -> 1",
+        "pair 2/2 (seed 8, change first) general-path: wall_s 2 -> 1",
+        "pair 2/2 (seed 8, change first) cli-readme: wall_s 2 -> 1",
+    ]
+    headers = [line for line in lines[4:] if not line.startswith(" ")]
+    assert headers == [f"{name}: 2 pairs, seeds 7-8, --seconds 0.0" for name in ("general-path", "cli-readme")]
+    walls = [line.split() for line in lines if line.startswith("  wall_s")]
+    assert len(walls) == 2 and all(row[-2:] == ["2/0", "gain"] for row in walls)
+    out = run_script("bench_pairs.py", *trees, "--workload", "all", "--pairs", "1", "--seconds", "0")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    headers = [line.split(":")[0] for line in out.splitlines() if not line.startswith((" ", "pair "))]
+    assert headers == [w["name"] for w in benchmark["workloads"]]

@@ -7,7 +7,7 @@ import frobpow.ideal
 from frobpow.arith import ceil_fraction
 from frobpow.errors import PreconditionError, ResourceCapError
 from frobpow.ideal import Ideal, ideal_power, ideal_sum
-from frobpow.monomial import newton_fpt
+from frobpow.monomial import MonomialIdeal, newton_fpt
 from frobpow.thresholds import (
     TruncationReport,
     _denominators,
@@ -71,6 +71,18 @@ def test_mu_rejects_bad_inputs():
     with pytest.raises(PreconditionError):
         # x + 1 has no power inside <x, y>
         mu(ideal(R, "x+1"), m, 3)
+
+
+def test_radical_check_of_monomial_ideals_reads_the_antichain():
+    R = ring2(3)
+    view = Ideal.from_monomial(MonomialIdeal(R, [(3, 0), (0, 2)]))
+    check_radical_containment(view, maximal(R))
+    assert view._gens is None  # no generator was built
+    # both generators lie outside the radical of <x*y>; the first in ring
+    # order is named, as the generator loop names it
+    for a in (view, ideal(R, "y^2", "x^3")):
+        with pytest.raises(PreconditionError, match=r"^generator x\^3 is not in the radical of b$"):
+            check_radical_containment(a, ideal(R, "x*y"))
 
 
 def test_undetermined_radical_containment_is_a_resource_cap():
