@@ -15,6 +15,11 @@ values.  Results print as canonical generator lists (reduced basis for
 general ideals, minimal generators for monomial ones, grevlex-descending) or
 reduced rationals.  Exit codes: 0 success, 2 parse error, 3 precondition
 violation, 4 resource cap exceeded.
+
+This module imports only what parsing needs (``errors``, ``arith``,
+``poly``, ``ideal``).  Each handler imports the layers it runs when it
+runs, so a command loads no other layer, and a tracer that rebinds a
+layer's functions is seen by the next call.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arith import p_adic_decompose
 from .errors import (
@@ -34,12 +38,11 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .frobpower import jumps_scan, rational_power
-from .generic import principal_power_oracle, stratify
 from .ideal import Ideal, frob_root
-from .monomial import newton_fpt, newton_tau
 from .poly import PolyRing, parse_polynomial
-from .thresholds import TruncationReport, crit_reconstruct, lce, mu, nu
+
+if TYPE_CHECKING:
+    from .thresholds import TruncationReport
 
 OUTPUT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -150,14 +153,14 @@ OUTPUT_SCHEMA = {
 }
 
 
-@dataclass
-class ProblemFile:
-    """Parsed problem file: characteristic, ring, named ideals and rationals."""
+class ProblemFile(NamedTuple):
+    """Parsed problem file: characteristic, ring, named ideals and rationals,
+    as a named tuple (p, ring, ideals, rationals)."""
 
     p: int
     ring: PolyRing
-    ideals: dict[str, Ideal] = field(default_factory=dict)
-    rationals: dict[str, Fraction] = field(default_factory=dict)
+    ideals: dict[str, Ideal]
+    rationals: dict[str, Fraction]
 
     def ideal(self, name: str) -> Ideal:
         """The ideal declared under `name`."""
@@ -295,6 +298,8 @@ def _report_output(report: TruncationReport, verbose: bool) -> Output:
 
 
 def _power(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .frobpower import rational_power
+
     t = file.rational(args.t)
     text, fields = _ideal_output(rational_power(file.ideal(args.ideal), t))
     if args.verbose:
@@ -311,10 +316,14 @@ def _root(file: ProblemFile, args: argparse.Namespace) -> Output:
 
 
 def _mu(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .thresholds import mu
+
     return _value_output(mu(file.ideal(args.num), file.ideal(args.den), args.q))
 
 
 def _nu(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .thresholds import nu
+
     f = file.ideal(args.poly)
     if len(f.gens) != 1:
         raise PreconditionError(
@@ -324,26 +333,36 @@ def _nu(file: ProblemFile, args: argparse.Namespace) -> Output:
 
 
 def _crit(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .thresholds import crit_reconstruct
+
     a, b = file.ideal(args.num), file.ideal(args.den)
     report = crit_reconstruct(a, b, args.emax, args.bmax, args.cmax)
     return _report_output(report, args.verbose)
 
 
 def _lce(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .thresholds import lce
+
     report = lce(file.ideal(args.ideal), args.emax, args.bmax, args.cmax)
     return _report_output(report, args.verbose)
 
 
 def _tau_monomial(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .monomial import newton_tau
+
     a = file.ideal(args.ideal).to_monomial()
     return _ideal_output(Ideal.from_monomial(newton_tau(a, file.rational(args.t))))
 
 
 def _fpt_monomial(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .monomial import newton_fpt
+
     return _value_output(newton_fpt(file.ideal(args.ideal).to_monomial()))
 
 
 def _jumps(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .frobpower import jumps_scan
+
     step = jumps_scan(file.ideal(args.ideal), args.emax)
     shown = [(lo, hi, *_ideal_result(v)) for lo, hi, v in step.intervals()]
     text = "\n".join(f"[{lo}, {hi}): {gens}" for lo, hi, gens, _ in shown)
@@ -358,11 +377,15 @@ def _jumps(file: ProblemFile, args: argparse.Namespace) -> Output:
 
 
 def _principalize(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .generic import principal_power_oracle
+
     gens = list(file.ideal(args.ideal).gens)
     return _ideal_output(principal_power_oracle(gens, file.rational(args.t)))
 
 
 def _stratify(file: ProblemFile, args: argparse.Namespace) -> Output:
+    from .generic import stratify
+
     gens, b = list(file.ideal(args.ideal).gens), file.ideal(args.den).to_monomial()
     pairs = [
         {"monomial": str(file.ring.monomial(u)), "coefficient": str(h)}

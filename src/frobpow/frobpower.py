@@ -14,9 +14,8 @@ effective right-constancy radius that is not available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import p_adic_decompose
 from .errors import PreconditionError, ResourceCapError
@@ -75,26 +74,32 @@ def skoda_split(a: Ideal, t: Fraction | int) -> tuple[Ideal, Ideal]:
     return frob_power_int(a, whole), rational_power(a, t - whole)
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(
+    NamedTuple("StepFunction", [("breakpoints", tuple), ("values", tuple), ("resolution", Fraction | None)])
+):
     """Right-constant map [0,1) -> ideals: jump points plus interval values.
 
     values[i] is taken on [breakpoints[i-1], breakpoints[i]) with the
     conventions breakpoints[-1] = 0 and breakpoints[len] = 1; consecutive
-    values differ and descend under containment.
+    values differ and descend under containment.  A named tuple
+    (breakpoints, values, resolution), validated when made.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Ideal, ...]
-    resolution: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(self.breakpoints) + 1:
+    def __new__(
+        cls,
+        breakpoints: tuple[Fraction, ...],
+        values: tuple[Ideal, ...],
+        resolution: Fraction | None = None,
+    ):
+        if len(values) != len(breakpoints) + 1:
             raise PreconditionError("need one value per interval")
-        if any(not (0 < b < 1) for b in self.breakpoints):
+        if any(not (0 < b < 1) for b in breakpoints):
             raise PreconditionError("breakpoints must lie in (0,1)")
-        if list(self.breakpoints) != sorted(set(self.breakpoints)):
+        if list(breakpoints) != sorted(set(breakpoints)):
             raise PreconditionError("breakpoints must be strictly ascending")
+        return super().__new__(cls, breakpoints, values, resolution)
 
     def value_at(self, t: Fraction | int) -> Ideal:
         t = Fraction(t)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from itertools import accumulate, repeat
 from operator import itemgetter, mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .arith import base_p_digits, is_power_of, multinomial_nonzero_mod_p
+from .arith import COMPOSITION_CAP, base_p_digits, is_power_of
 from .errors import PreconditionError, ResourceCapError
-from .groebner import GroebnerBasis, groebner_basis
 from .monomial import (
     MonomialIdeal,
     mono_bracket,
@@ -36,7 +35,8 @@ from .monomial import (
 )
 from .poly import MonomialOrder, Polynomial, PolyRing
 
-COMPOSITION_CAP = 10**6
+if TYPE_CHECKING:
+    from .groebner import GroebnerBasis
 
 
 class Ideal:
@@ -138,6 +138,8 @@ class Ideal:
         order = order or self.ring.order
         gb = self._cache.get(order)
         if gb is None:
+            from .groebner import groebner_basis  # the engine loads with a first basis
+
             gens = list(self.gens) or [self.ring.zero()]
             gb = groebner_basis(gens, order)
             self._cache[order] = gb
@@ -312,29 +314,13 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     return Ideal.from_monomial(result) if monomial else result
 
 
-def frob_power_int_gens(a: Ideal, k: int) -> Ideal:
-    """Integral Frobenius power from the multinomial generator formula.
-
-    Generated by products f^u over exponent tuples u of total degree k whose
-    multinomial coefficient survives mod p: the oracle, not the production path.
-    """
-    if k < 0:
-        raise PreconditionError("negative Frobenius power")
-    if k == 0:
-        return Ideal.unit(a.ring)
-    if a.is_zero():
-        return a
-    p = a.ring.p
-    return Ideal(a.ring, _products(a.gens, k, lambda u: multinomial_nonzero_mod_p(u, p)))
-
-
-def _products(polys, k: int, keep=None, monos: MonomialIdeal | None = None):
-    """The products f^u of the polynomials over the tuples u with |u| = k that
-    keep(u) accepts (all without keep).  Each f^e is built once, and one
-    multiplication per prefix of u is shared by the tuples that extend it.
-    With monos, a monomial ideal M, u has one more entry j, and f^u is taken
-    times each minimal generator of M^j.  Refuses before any polynomial
-    product when the products would exceed the cap.
+def _products(polys, k: int, monos: MonomialIdeal | None = None):
+    """The products f^u of the polynomials over the tuples u with |u| = k.
+    Each f^e is built once, and one multiplication per prefix of u is shared
+    by the tuples that extend it.  With monos, a monomial ideal M, u has one
+    more entry j, and f^u is taken times each minimal generator of M^j.
+    Refuses before any polynomial product when the products would exceed
+    the cap.
     """
     r = len(polys)
     # M^j has j + 1 or more minimal generators when M has two or more (the
@@ -356,16 +342,16 @@ def _products(polys, k: int, keep=None, monos: MonomialIdeal | None = None):
     tables += [table] if monos else []
     times = lambda g, h: h if g is None else g if h is None else g * h
 
-    def walk(i: int, left: int, u: tuple[int, ...], prefix: Polynomial | None):
+    def walk(i: int, left: int, prefix: Polynomial | None):
         if i < len(tables) - 1:
             for e in range(left + 1):
                 for g in tables[i][e]:
-                    yield from walk(i + 1, left - e, u + (e,), times(prefix, g))
-        elif keep is None or keep(u + (left,)):
+                    yield from walk(i + 1, left - e, times(prefix, g))
+        else:
             for g in tables[i][left]:
                 yield times(prefix, g)
 
-    return walk(0, k, (), None)
+    return walk(0, k, None)
 
 
 def frob_root(a: Ideal, q: int) -> Ideal:

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import MAX_EXPONENT, ceil_fraction
+from .arith import COMPOSITION_CAP, MAX_EXPONENT, ceil_fraction
 from .errors import (
     ArityMismatchError,
     ExponentOverflowError,
@@ -46,12 +46,21 @@ from .errors import (
 )
 from .poly import Exponent, PolyRing, Polynomial, monomial_scale
 
+# In three or more variables minimalize compares each of its n points with
+# up to the k points kept before it, so it is priced as n * k comparisons.
+# One costs about 0.8 us (Python 3.11, one Xeon core): 3600 and 10^4 pairwise
+# incomparable points, 6.5 * 10^6 and 5 * 10^7 comparisons, took 5.3 and
+# 40.8 s.  The cap stops a call at about 8 s.
+MINIMALIZE_CAP = 10**7
+
 
 def minimalize(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Prune to the antichain of componentwise-minimal exponent vectors.
 
     The result is sorted lexicographically in two variables (x ascending, y
     strictly descending) and by total degree, ties lexicographic, otherwise.
+    In three or more variables, raises ResourceCapError once the points times
+    those kept pass MINIMALIZE_CAP.
     """
     pts = sorted(set(map(tuple, exponents)))
     if pts and len(pts[0]) == 2:
@@ -61,6 +70,11 @@ def minimalize(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
     for u in pts:
         if not any(all(a <= b for a, b in zip(v, u)) for v in kept):
             kept.append(u)
+            if len(pts) * len(kept) > MINIMALIZE_CAP:
+                raise ResourceCapError(
+                    f"minimalize: {len(pts)} points times {len(kept)} kept "
+                    f"exceed MINIMALIZE_CAP ({MINIMALIZE_CAP})"
+                )
     return tuple(kept)
 
 
@@ -180,12 +194,19 @@ def mono_product(a: MonomialIdeal, b: MonomialIdeal, q: int = 1) -> MonomialIdea
 
     The root floor-divides each pair sum by q and minimalizes once; in two
     variables the sorted set of sums (or quotients) goes straight to the
-    staircase sweep that `minimalize` runs.  Raises
+    staircase sweep that `minimalize` runs.  Raises ResourceCapError when
+    the pairs of generators would exceed COMPOSITION_CAP, and
     ExponentOverflowError as the general path does: that path multiplies
     every pair of generators, so it overflows exactly when some coordinate's
-    maxima over a and over b sum past MAX_EXPONENT; that is tested before any
-    pair is formed.
+    maxima over a and over b sum past MAX_EXPONENT.  Both are tested before
+    any pair is formed.
     """
+    pairs = len(a.gens) * len(b.gens)
+    if pairs > COMPOSITION_CAP:
+        raise ResourceCapError(
+            f"monomial product: {len(a.gens)} x {len(b.gens)} = {pairs} "
+            f"generator pairs exceed COMPOSITION_CAP ({COMPOSITION_CAP})"
+        )
     if a.is_zero() or b.is_zero():
         return MonomialIdeal._build(a.ring, ())
     if a.ring.nvars == 2:

@@ -21,9 +21,8 @@ Examples::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import add, neg
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import MAX_EXPONENT, base_p_digits, is_prime
 from .errors import (
@@ -40,13 +39,13 @@ _GREVLEX_DESCENDING = lambda u: (-sum(u), u[::-1])
 _NAME = re.compile(r"[^\W\d]\w*")  # a variable name, in a ring and in the grammar
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A monomial order: total, multiplicative, with 1 minimal.
 
     kind is one of "lex", "grevlex" or "block"; a block order compares the
     leading variable block (grevlex) first, then the rest (grevlex), which
-    makes it an elimination order for the leading block.
+    makes it an elimination order for the leading block.  A named tuple
+    (kind, lead): equal orders are equal and hash alike, so they key caches.
     """
 
     kind: str
@@ -101,25 +100,27 @@ def monomial_scale(u: Exponent, q: int) -> Exponent:
     return w
 
 
-@dataclass(frozen=True)
-class PolyRing:
-    """Ring descriptor: characteristic, ordered variables, active order."""
+class PolyRing(NamedTuple("PolyRing", [("p", int), ("variables", tuple), ("order", MonomialOrder)])):
+    """Ring descriptor: characteristic, ordered variables, active order.
 
-    p: int
-    variables: tuple[str, ...]
-    order: MonomialOrder = field(default_factory=MonomialOrder.grevlex)
+    A named tuple (p, variables, order), validated when made: rings with
+    equal fields are equal and hash alike, and no field can be set.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, p: int, variables: tuple[str, ...], order: MonomialOrder = MonomialOrder.grevlex()):
         # Test the bound first: trial division is only fast below it.
-        if self.p >= 1 << 31:
+        if p >= 1 << 31:
             raise PreconditionError("characteristic must be below 2^31")
-        if not is_prime(self.p):
-            raise PreconditionError(f"{self.p} is not prime")
-        if len(set(self.variables)) != len(self.variables):
+        if not is_prime(p):
+            raise PreconditionError(f"{p} is not prime")
+        if len(set(variables)) != len(variables):
             raise PreconditionError("duplicate variable names")
-        for name in self.variables:
+        for name in variables:
             if not (name.isidentifier() and _NAME.fullmatch(name)):
                 raise PreconditionError(f"bad variable name {name!r}")
+        return super().__new__(cls, p, variables, order)
 
     @property
     def nvars(self) -> int:

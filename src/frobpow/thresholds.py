@@ -25,12 +25,11 @@ is attained -- an unconditional certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError, ResourceCapError
 from .frobpower import _last_true, rational_power
-from .groebner import normal_form
 from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
 from .monomial import MonomialIdeal
 from .poly import Polynomial
@@ -38,14 +37,14 @@ from .poly import Polynomial
 RADICAL_EXPONENT_CAP = 1 << 10
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     """Truncation data for one critical exponent.
 
     certified_interval is (interval_low, interval_high] = (mu/q, (mu+1)/q] at
     the finest computed q; mu_over_q lists the e-th truncations, which are
     non-decreasing.  candidate, when present, lies in the interval; it is
-    exact under the search bounds iff certified_exact.
+    exact under the search bounds iff certified_exact.  A named tuple:
+    ``_replace`` makes a copy with some fields changed.
     """
 
     q_list: tuple[int, ...]
@@ -69,6 +68,8 @@ def _monomials_in_radical(exponents, b: MonomialIdeal) -> bool:
 def _in_radical(f: Polynomial, b: Ideal) -> bool:
     if b.is_monomial:
         return _monomials_in_radical(f.terms, b.to_monomial())
+    from .groebner import normal_form  # only a non-monomial b loads the engine
+
     gb = b.reduced_basis()
     w = normal_form(f, gb)
     e = 1
@@ -268,7 +269,7 @@ def _reconstruct(
     if best is None:
         return report
     certified = after(best) > hi and not ideal_contains(b, rational_power(a, lo))
-    return replace(report, candidate=best, certified_exact=certified)
+    return report._replace(candidate=best, certified_exact=certified)
 
 
 def crit_reconstruct(
@@ -302,5 +303,5 @@ def lce(a: Ideal, e_max: int, b_max: int = 4, c_max: int = 4) -> TruncationRepor
     q_max, mu_max = report.q_list[-1], report.mu_list[-1]
     sharp_low = Fraction(mu_max, q_max - 1)
     if ideal_contains(maximal, rational_power(a, sharp_low)):
-        return replace(report, candidate=sharp_low, certified_exact=True)
+        return report._replace(candidate=sharp_low, certified_exact=True)
     return _reconstruct(a, maximal, report, b_max, c_max, forbidden_cap=e_max)

@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from frobpow import Ideal, PolyRing, frob_power_int
+from frobpow import Ideal, PolyRing, ResourceCapError, frob_power_int
+from frobpow.arith import COMPOSITION_CAP
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def modules_after(code):
+    """The modules a fresh interpreter (no site hooks) holds after running code."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+        check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def ring2(p, order=None):
@@ -95,6 +117,59 @@ def violates_forbidden_interval(lam, p, e_cap):
         if Fraction(k, q) < lam < Fraction(k, q - 1):
             return True
     return False
+
+
+def adds_without_carrying(ks, p):
+    """Whether the base-p additions of the integers never carry: at every
+    base-p position their digits sum below p."""
+    ks = list(ks)
+    while any(ks):
+        if sum(k % p for k in ks) >= p:
+            return False
+        ks = [k // p for k in ks]
+    return True
+
+
+def multinomial(u):
+    """Exact multinomial coefficient (|u| choose u), from factorials."""
+    out = math.factorial(sum(u))
+    for e in u:
+        out //= math.factorial(e)
+    return out
+
+
+def multinomial_nonzero_mod_p(u, p):
+    """Whether (|u| choose u) is nonzero mod p, by Lucas's theorem: mod p it
+    is the product over the base-p positions of the multinomial coefficient
+    of the digits of u there, a factor that is 0 when those digits do not
+    sum to the digit of |u|."""
+    n, u, product = sum(u), list(u), 1
+    while n:
+        n, top = divmod(n, p)
+        digits = [e % p for e in u]
+        u = [e // p for e in u]
+        product = product * (multinomial(digits) if sum(digits) == top else 0) % p
+    return product != 0
+
+
+def frob_power_int_gens(a, k):
+    """a^{[k]} from the generator formula: the products of the f_i^{u_i} over
+    the exponent tuples u with |u| = k whose multinomial coefficient is
+    nonzero mod p.  Each tuple's product is built on its own.  Refuses past
+    COMPOSITION_CAP tuples, as ideal_power does.  The oracle for the digit
+    products of frob_power_int."""
+    if k == 0:
+        return Ideal.unit(a.ring)
+    gens, one = a.gens, a.ring.one()
+    count = math.comb(k + len(gens) - 1, len(gens) - 1)
+    if count > COMPOSITION_CAP:
+        raise ResourceCapError(f"{count} exponent tuples exceed COMPOSITION_CAP ({COMPOSITION_CAP})")
+    products = []
+    for picks in itertools.combinations_with_replacement(range(len(gens)), k):
+        u = [picks.count(i) for i in range(len(gens))]
+        if multinomial_nonzero_mod_p(u, a.ring.p):
+            products.append(math.prod((f**e for f, e in zip(gens, u)), start=one))
+    return Ideal(a.ring, products)
 
 
 def jumps_reference(a, e_max):

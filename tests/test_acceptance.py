@@ -10,21 +10,29 @@ from fractions import Fraction
 
 import pytest
 
-from frobpow.arith import ceil_fraction, multinomial, multinomial_nonzero_mod_p
+from frobpow.arith import ceil_fraction
 from frobpow.frobpower import jumps_scan, rational_power, skoda_split
 from frobpow.generic import principal_power_oracle
 from frobpow.groebner import groebner_basis, normal_form
 from frobpow.ideal import (
     Ideal,
     frob_power_int,
-    frob_power_int_gens,
     ideal_power,
     ideal_product,
 )
 from frobpow.monomial import mono_contains, mono_member, newton_tau
 from frobpow.thresholds import lce, mu, nu
 
-from helpers import ideal, maximal, random_poly, ring2, violates_forbidden_interval
+from helpers import (
+    frob_power_int_gens,
+    ideal,
+    maximal,
+    multinomial,
+    multinomial_nonzero_mod_p,
+    random_poly,
+    ring2,
+    violates_forbidden_interval,
+)
 
 
 def report(criterion, detail=""):

@@ -6,15 +6,14 @@ from hypothesis import given, strategies as st
 
 from frobpow.arith import (
     PERIOD_CAP,
-    adds_without_carrying,
     base_p_digits,
     is_power_of,
-    multinomial,
-    multinomial_nonzero_mod_p,
     multiplicative_order,
     p_adic_decompose,
 )
 from frobpow.errors import PreconditionError, ResourceCapError
+
+from helpers import adds_without_carrying, multinomial, multinomial_nonzero_mod_p
 
 PRIMES = [2, 3, 5, 7]
 

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 from frobpow.cli import COMMANDS, OUTPUT_SCHEMA, build_parser, main, parse_input
 from frobpow.errors import ParseError
 from frobpow.ideal import Ideal
+
+from helpers import modules_after
 
 M5_FILE = """\
 # fifth power of the maximal ideal
@@ -250,6 +253,25 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "1/100003", str(path)])
     assert code == 4
     assert "PERIOD_CAP" in err
+
+
+def test_exit_code_resource_cap_of_a_large_monomial_power(capsys, m5_path):
+    # the Horner steps of a^[10^11] grow until a product needs more than
+    # 10^6 generator pairs; it is refused before forming them
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "100000000000", m5_path])
+    assert code == 4
+    assert "COMPOSITION_CAP" in err
+    assert time.perf_counter() - start < 30
+
+
+def test_a_command_loads_only_the_layers_it_runs(m5_path):
+    loaded = modules_after(
+        f"import frobpow.cli\nfrobpow.cli.main(['power', '--ideal', 'a', '--t', '2/5', {m5_path!r}])"
+    )
+    assert "frobpow.frobpower" in loaded
+    unused = {"dataclasses", "inspect", "heapq", "frobpow.thresholds", "frobpow.generic", "frobpow.groebner"}
+    assert not loaded & unused
 
 
 # -- structured output ---------------------------------------------------------------

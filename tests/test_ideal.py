@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from frobpow.arith import adds_without_carrying
 from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from frobpow.frobpower import rational_power
 from frobpow.ideal import (
     Ideal,
     bracket_power,
     frob_power_int,
-    frob_power_int_gens,
     frob_root,
     frob_root_product,
     ideal_contains,
@@ -24,7 +22,7 @@ from frobpow.monomial import MonomialIdeal, mono_contains
 from frobpow.poly import PolyRing
 from frobpow.thresholds import mu
 
-from helpers import ideal, maximal, random_poly, ring2
+from helpers import adds_without_carrying, frob_power_int_gens, ideal, maximal, random_poly, ring2
 
 
 def corpus(R):

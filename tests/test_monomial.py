@@ -134,6 +134,30 @@ def test_two_variable_product_overflow_raises_before_any_pair():
             mono_product(a, b, q)
 
 
+def test_product_refuses_past_the_composition_cap_before_any_pair():
+    # 1001 x 1000 generators make 1,001,000 pairs, one thousand past the cap
+    for n in (2, 3):
+        R = PolyRing(3, ("x", "y", "z")[:n])
+        a = MonomialIdeal._of(R, _PairGuard((i, 1000 - i, 0)[:n] for i in range(1001)))
+        b = MonomialIdeal._of(R, _PairGuard((i, 999 - i, 0)[:n] for i in range(1000)))
+        for q in (1, 3):
+            with pytest.raises(ResourceCapError, match="COMPOSITION_CAP"):
+                mono_product(a, b, q)
+
+
+def test_three_variable_minimalize_is_priced_as_points_times_kept():
+    R = PolyRing(3, ("x", "y", "z"))
+    # 317^2 = 100,489 incomparable sums: refused once 100 of them are kept
+    a = MonomialIdeal(R, [(i, 0, 4000 - i) for i in range(317)])
+    b = MonomialIdeal(R, [(0, j, 4000 - j) for j in range(317)])
+    with pytest.raises(ResourceCapError, match="MINIMALIZE_CAP"):
+        mono_product(a, b)
+    # 231^2 = 53,361 pairs fall on the 861 monomials of degree 40: priced
+    # 861 * 861, under the cap
+    m20 = MonomialIdeal(R, [(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)])
+    assert len(mono_product(m20, m20).gens) == 861
+
+
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elimination((1,))]
 
 

@@ -102,6 +102,18 @@ def test_profile_workload_keeps_the_tasks_of_one_prefix():
     assert "(lce)" in out and "(crit_reconstruct)" not in out
 
 
+def test_profile_workload_prints_the_start_up_profile_of_cli_commands():
+    out = run_script("profile_workload.py", "cli-readme", "1", "60", "--prefix", "cli/power/")
+    lines = out.splitlines()
+    assert lines[0] == "cli-readme, seed 1: 10 tasks with keys starting 'cli/power/', one pass"
+    assert lines[1].split() == ["self_ms", "cum_ms", "loaded", "module"]
+    rows = {line.split()[-1]: line.split() for line in lines[2:]}
+    assert rows["frobpow.ideal"][2] == "10/10"
+    assert float(rows["frobpow.ideal"][1]) >= float(rows["frobpow.ideal"][0]) > 0
+    # power runs no threshold, generic or Groebner layer
+    assert "frobpow.frobpower" in rows and not {"frobpow.thresholds", "frobpow.groebner"} & set(rows)
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
