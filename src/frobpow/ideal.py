@@ -1,17 +1,21 @@
 """Ideal algebra: bracket powers, integral Frobenius powers, Frobenius roots.
 
-An :class:`Ideal` stores a generator list (possibly redundant) plus a cache
-of reduced Groebner bases keyed by monomial order.  Every operation is
-invariant under replacing the generators by another generating set of the
-same ideal.  Equality is mathematical: reduced bases are canonical forms.
+An :class:`Ideal` is one of two representations, fixed when it is made.
+An ideal with a generator of two or more terms stores its generator list
+(possibly redundant) plus a cache of reduced Groebner bases keyed by
+monomial order.  Every other ideal, one whose generators are all single
+terms (the zero ideal included), is a view over an antichain of
+:mod:`frobpow.monomial`, whether it was built from polynomials or by
+:meth:`Ideal.from_monomial`: it stores no polynomials until ``gens`` is
+read.  Every operation is invariant under replacing the generators by
+another generating set of the same ideal.  Equality is mathematical:
+reduced bases and antichains are canonical forms.
 
 This module is the single dispatch point between the two representations.
-A monomial ideal built by :meth:`Ideal.from_monomial` is a view over an
-antichain of :mod:`frobpow.monomial`: it stores no polynomials until
-``gens`` is read, and every operation below hands monomial inputs to the
-antichain kernel, which is what keeps large-characteristic computations
-fast; membership in a monomial ideal is always decided there, term by
-term.  Principal ideals use the identity <f>^{[k]} = <f^k>.
+Every operation below hands monomial inputs to the antichain kernel, which
+is what keeps large-characteristic computations fast; membership in a
+monomial ideal is always decided there, term by term.  Principal ideals use
+the identity <f>^{[k]} = <f^k>.
 """
 
 from __future__ import annotations
@@ -42,21 +46,31 @@ if TYPE_CHECKING:
 class Ideal:
     """Finitely generated ideal of a polynomial ring over Z/p.
 
-    Generators are stored monic, deduplicated and canonically sorted; the
-    zero ideal has an empty generator list.  A monomial view keeps only its
-    antichain and builds ``gens`` from it, in descending ring order, on first
-    access.
+    When every generator has at most one term the ideal is a monomial view:
+    it keeps only the antichain of their exponents, coefficients dropped,
+    and builds ``gens`` from it, the minimal generators in descending ring
+    order, on first access.  So ``Ideal(R, [x^2, x^3, 2*x*y]).gens`` is
+    ``(x^2, x*y)``, and the zero ideal has an empty generator list.  Any
+    other list is stored monic, deduplicated and canonically sorted.
     """
 
     __slots__ = ("ring", "_gens", "_cache", "_mono")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
+        gens = list(gens)
+        if any(g.ring != ring for g in gens):
+            raise PreconditionError("generator lives in a different ring")
+        self.ring = ring
+        self._cache: dict[MonomialOrder, GroebnerBasis] = {}
+        self._mono: MonomialIdeal | None = None
+        if all(len(g.terms) <= 1 for g in gens):
+            self._gens = None
+            self._mono = MonomialIdeal._build(ring, (u for g in gens for u in g.terms))
+            return
         key, desc = ring.sort_key(), ring.order.descending_key()
         p = ring.p
         monic: list[tuple[tuple, Polynomial]] = []
         for g in gens:
-            if g.ring != ring:
-                raise PreconditionError("generator lives in a different ring")
             terms = g.terms
             if not terms:
                 continue
@@ -76,10 +90,7 @@ class Ideal:
                 key=lambda e: (e[0], sorted(e[1].terms.items())),
                 reverse=True,
             )
-        self.ring = ring
         self._gens = tuple(g for _, g in monic)
-        self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        self._mono: MonomialIdeal | None = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -105,26 +116,24 @@ class Ideal:
 
     @property
     def gens(self) -> tuple[Polynomial, ...]:
+        """The stored generators; a monomial view's minimal ones, monic and
+        in descending ring order."""
         if self._gens is None:
             self._gens = tuple(self._mono.polynomials())
         return self._gens
 
     def is_zero(self) -> bool:
-        if self._mono is not None:
-            return self._mono.is_zero()
-        return not self._gens
+        return self._mono is not None and self._mono.is_zero()
 
     @property
     def is_monomial(self) -> bool:
-        return self._mono is not None or all(g.is_term() for g in self._gens)
+        return self._mono is not None
 
     def to_monomial(self) -> MonomialIdeal:
+        """The antichain of a monomial view; raises PreconditionError on a
+        generator list, which always holds a generator of two or more terms."""
         if self._mono is None:
-            if not self.is_monomial:
-                raise PreconditionError("not a monomial ideal")
-            self._mono = MonomialIdeal(
-                self.ring, [g.leading_exponent() for g in self._gens]
-            )
+            raise PreconditionError("not a monomial ideal")
         return self._mono
 
     def is_unit(self) -> bool:
@@ -208,7 +217,7 @@ def ideal_power(a: Ideal, k: int) -> Ideal:
     # and the products inside M^k are pruned.
     polys = [g for g in a.gens if not g.is_term()]
     monos = [g.leading_exponent() for g in a.gens if g.is_term()]
-    monos = MonomialIdeal(a.ring, monos) if monos else None
+    monos = MonomialIdeal._build(a.ring, monos) if monos else None
     return prune_generators(Ideal(a.ring, _products(polys, k, monos=monos)))
 
 
@@ -228,7 +237,8 @@ def prune_generators(a: Ideal) -> Ideal:
     outside it.  Cheap, and enough to keep digit products small without a
     basis computation: every non-monomial root and every high-digit product
     of frob_power_int, and every digit power, passes through it.  A monomial
-    view is already minimal and is returned as it is.
+    view, which every list of single terms is, is already minimal and is
+    returned as it is.
     """
     if a._mono is not None:
         return a

@@ -398,10 +398,10 @@ def newton_tau(a: MonomialIdeal, t: Fraction | int) -> MonomialIdeal:
     n = ring.nvars
     if a.is_zero():
         if t == 0:
-            return MonomialIdeal(ring, ((0,) * n,))
+            return _unit(ring)
         return a
     if t == 0 or a.is_unit():
-        return MonomialIdeal(ring, ((0,) * n,))
+        return _unit(ring)
 
     bound = ceil_fraction(t * max(sum(u) for u in a.gens)) + n
     facets = _newton_facets(a)

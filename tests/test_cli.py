@@ -109,6 +109,15 @@ def test_mu_and_nu_commands(capsys, m5_path):
     assert (code, out.strip()) == (0, "1")
 
 
+def test_nu_reads_a_redundant_list_of_terms_as_principal(capsys, tmp_path):
+    # x^3 lies in <x^2>: the list is the principal ideal <x^2>
+    path = tmp_path / "r.frob"
+    path.write_text("p 3\nvars x y\nideal r = x^2, x^3\nideal s = x^2\nideal m = x, y\n")
+    code, out, err = run(capsys, ["nu", "--poly", "r", "--den", "m", "--q", "9", str(path)])
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, ["nu", "--poly", "s", "--den", "m", "--q", "9", str(path)])[:2]
+
+
 def test_lce_command_certified(capsys, m5_path):
     code, out, _ = run(capsys, ["lce", "--ideal", "a", "--emax", "4", m5_path])
     assert code == 0

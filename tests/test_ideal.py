@@ -19,7 +19,7 @@ from frobpow.ideal import (
     prune_generators,
 )
 from frobpow.monomial import MonomialIdeal, mono_contains
-from frobpow.poly import PolyRing
+from frobpow.poly import PolyRing, Polynomial
 from frobpow.thresholds import mu
 
 from helpers import adds_without_carrying, frob_power_int_gens, ideal, maximal, random_poly, ring2
@@ -124,9 +124,10 @@ def test_first_power_is_the_ideal_itself():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ideal_power_matches_repeated_products(p):
     # The reference multiplies d - 1 times in a row, as ideal_power once did
-    # (without its compaction).  On ideals with no single-term generator the
-    # oracle frob_power_int_gens shares ideal_power's walk, so this is the
-    # independent check there, over criterion 07's range of exponents.
+    # (without its compaction).  The oracle frob_power_int_gens builds each
+    # product of generator powers on its own, and it gives a^d only for
+    # d < p, so this is the independent check of ideal_power over criterion
+    # 07's range of exponents.
     R, S = ring2(p), PolyRing(p, ("x", "y", "z"))
     cases = [(a, 30) for a in corpus(R)] + [
         (ideal(R, "x^2+y^3", "x^3+y", "x*y+y^4"), 20),
@@ -633,3 +634,50 @@ def test_equal_ideals_hash_equal_in_both_representations():
     f, g = ideal(R, "x^2+y^2", "x*y"), ideal(R, "x^2+x*y+y^2", "x*y", "y^3")
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
     assert len({f, general}) == 2
+
+
+# -- one representation for a monomial ideal -----------------------------------------
+
+
+@st.composite
+def single_term_lists(draw):
+    """(R, exponents, gens): single-term generators with random coefficients
+    (zero among them), repeats and multiples of other generators."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolyRing(p, ("x", "y", "z")[:n])
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    base = draw(st.lists(exps, max_size=5))
+    picks = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
+    multiples = [tuple(e + s for e, s in zip(u, draw(exps))) for u in picks]
+    coeffs = st.integers(0, p - 1)
+    terms = [(u, draw(coeffs)) for u in base + multiples + base[: draw(st.integers(0, 2))]]
+    return R, [u for u, c in terms if c], [R.monomial(u, c) for u, c in draw(st.permutations(terms))]
+
+
+@given(case=single_term_lists())
+def test_a_list_of_terms_is_its_antichain_view(case):
+    R, exps, gens = case
+    a = Ideal(R, gens)
+    assert a.is_monomial and a.is_zero() == (not exps)
+    minimal = {u for u in exps if not any(_divides(v, u) for v in exps if v != u)}
+    descending = sorted(minimal, key=R.sort_key(), reverse=True)
+    assert a.gens == tuple(R.monomial(u) for u in descending)
+    view = Ideal.from_monomial(MonomialIdeal(R, exps))
+    assert a == view and hash(a) == hash(view)
+    mixed = Ideal(R, gens + [R.var("x") + R.var("y")])
+    assert not mixed.is_monomial and not mixed.is_zero()
+    with pytest.raises(PreconditionError):
+        mixed.to_monomial()
+
+
+def test_is_monomial_reads_no_generator(monkeypatch):
+    R = ring2(3)
+    mixed, terms = ideal(R, "x^2", "x*y+y^3", "y^4"), ideal(R, "x^2", "x^3", "2*x*y")
+
+    def refuse(self):
+        raise AssertionError("is_term called")
+
+    monkeypatch.setattr(Polynomial, "is_term", refuse)
+    assert not mixed.is_monomial and not mixed.is_zero()
+    assert terms.is_monomial and not terms.is_zero()

@@ -231,3 +231,40 @@ def test_bench_pairs_runs_every_named_workload_in_each_pair(tmp_path):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     headers = [line.split(":")[0] for line in out.splitlines() if not line.startswith((" ", "pair "))]
     assert headers == [w["name"] for w in benchmark["workloads"]]
+
+
+# Five code lines: the docstrings, comments and blank lines are not code,
+# and a string that is not a docstring is code on each line it spans.
+LOC_MODULE = '''"""Module docstring,
+two lines."""
+
+# a comment
+X = 1  # code with a comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        return """not a
+docstring"""
+'''
+
+
+def test_loc_counts_code_lines_per_module(tmp_path):
+    for tree, text in (("a", LOC_MODULE), ("b", LOC_MODULE + "Y = 2\n")):
+        (tmp_path / tree / "src" / "frobpow").mkdir(parents=True)
+        (tmp_path / tree / "src" / "frobpow" / "m.py").write_text(text)
+    (tmp_path / "b" / "src" / "frobpow" / "n.py").write_text("# only a comment\n\nZ = 3\n")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run_script("loc.py", a).splitlines() == ["module    code", "m.py         5", "total        5"]
+    assert run_script("loc.py", a, b).splitlines() == [
+        f"A: {a}",
+        f"B: {b}",
+        "module       A       B     B-A",
+        "m.py         5       6      +1",
+        "n.py         0       1      +1",
+        "total        5       7      +2",
+    ]
