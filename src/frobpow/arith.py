@@ -48,8 +48,9 @@ def is_prime(n: int) -> bool:
 
 
 def is_power_of(q: int, p: int) -> bool:
-    """Whether q = p^e for some e >= 0; false for every q < 1."""
-    if q < 1:
+    """Whether q = p^e for some e >= 0; false for every q < 1 and every q
+    that is not an int."""
+    if type(q) is not int or q < 1:
         return False
     while q % p == 0:
         q //= p

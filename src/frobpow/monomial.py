@@ -102,8 +102,8 @@ class MonomialIdeal:
                 raise ArityMismatchError(
                     f"expected {ring.nvars} exponents, got {len(u)}"
                 )
-            if any(e < 0 for e in u):
-                raise PreconditionError("negative exponent in monomial ideal")
+            if any(type(e) is not int or e < 0 for e in u):
+                raise PreconditionError(f"monomial ideal exponents must be nonnegative integers: {u}")
         self.ring = ring
         self.gens = minimalize(exps)
 

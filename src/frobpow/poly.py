@@ -154,7 +154,9 @@ class PolyRing(NamedTuple("PolyRing", [("p", int), ("variables", tuple), ("order
                 raise ArityMismatchError(
                     f"expected {self.nvars} exponents, got {len(u)}"
                 )
-            if any(e < 0 or e > MAX_EXPONENT for e in u):
+            if any(type(e) is not int or e < 0 or e > MAX_EXPONENT for e in u):
+                if not all(type(e) is int for e in u):
+                    raise PreconditionError(f"exponents must be integers: {u}")
                 raise ExponentOverflowError(f"exponent out of range: {u}")
             c = (acc.get(u, 0) + c) % self.p
             if c:

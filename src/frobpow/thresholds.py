@@ -28,13 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PreconditionError, ResourceCapError
+from .errors import PreconditionError
 from .frobpower import _last_true, rational_power
 from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
 from .monomial import MonomialIdeal
 from .poly import Polynomial
-
-RADICAL_EXPONENT_CAP = 1 << 10
 
 
 class TruncationReport(NamedTuple):
@@ -68,28 +66,21 @@ def _monomials_in_radical(exponents, b: MonomialIdeal) -> bool:
 def _in_radical(f: Polynomial, b: Ideal) -> bool:
     if b.is_monomial:
         return _monomials_in_radical(f.terms, b.to_monomial())
-    from .groebner import normal_form  # only a non-monomial b loads the engine
-
-    gb = b.reduced_basis()
-    w = normal_form(f, gb)
-    e = 1
-    while e <= RADICAL_EXPONENT_CAP:
-        if w.is_zero():
-            return True
-        w = normal_form(w * w, gb)
-        e <<= 1
-    raise ResourceCapError(
-        f"radical membership of {f} undetermined: no power up to exponent "
-        f"{e >> 1} reduces to zero (RADICAL_EXPONENT_CAP {RADICAL_EXPONENT_CAP})"
-    )
+    # Rabinowitsch: f is in the radical of b iff 1 is in b + <1 - t f> in
+    # R[t] for a fresh variable t, so one basis decides both ways.
+    ring = b.ring
+    t = "t" * (1 + max(map(len, ring.variables)))
+    rt = ring.extend([t])
+    return Ideal(rt, [g.remap(rt) for g in b.gens] + [1 - rt.var(t) * f.remap(rt)]).is_unit()
 
 
 def check_radical_containment(a: Ideal, b: Ideal):
-    """Verify a is contained in the radical of b.
+    """Verify a is contained in the radical of b, exactly.
 
-    Raises PreconditionError when a monomial b shows it is not, and
-    ResourceCapError when no power up to RADICAL_EXPONENT_CAP of a generator
-    settles it.  Monomial a and b test a's antichain; a failure then names a generator.
+    Raises PreconditionError naming the first generator of a outside it.
+    Monomial a and b test a's antichain.  A non-monomial b decides each
+    generator f by one Groebner basis of b + <1 - t f> in one extra variable
+    t, under S_PAIR_CAP.
     """
     if a.is_monomial and b.is_monomial and _monomials_in_radical(a.to_monomial().gens, b.to_monomial()):
         return
@@ -99,25 +90,34 @@ def check_radical_containment(a: Ideal, b: Ideal):
 
 
 def _validate_pair(a: Ideal, b: Ideal, q: int):
+    # a is proper once it lies in the radical of a proper b, so a unit a
+    # fails the radical check, which runs last.
     _check_q(a.ring, q)
     if q < a.ring.p:
         raise PreconditionError("q must be a positive power of p (q >= p)")
-    if a.is_zero() or a.is_unit() or b.is_zero() or b.is_unit():
-        raise PreconditionError("mu/nu need nonzero proper ideals")
+    if a.is_zero() or b.is_zero() or b.is_unit():
+        raise PreconditionError("a and b must be nonzero proper ideals")
+    check_radical_containment(a, b)
 
 
-def mu(a: Ideal, b: Ideal, q: int, *, _seed: int = 0) -> int:
+def mu(a: Ideal, b: Ideal, q: int) -> int:
     """max{k : a^{[k]} not contained in b^{[q]}}.
 
-    Exponential bracketing from a known-outside seed, then binary search;
-    monotonicity of k -> a^{[k]} makes the predicate monotone.  For a
-    monomial a each probe tests a^{[k/q]} inside b instead, which is the same
-    question (I is inside J^{[q]} iff I^{[1/q]} is inside J) and never forms
-    a^{[k]}; other ideals test a^{[k]} against b^{[q]}, which the antichain
-    kernel decides term by term when b is monomial.
+    The pair is checked first: a must lie in the radical of b, which is
+    decided exactly (see check_radical_containment).  Then exponential
+    bracketing from k = 0, and binary search; monotonicity of k -> a^{[k]}
+    makes the predicate monotone.  For a monomial a each probe tests
+    a^{[k/q]} inside b instead, which is the same question (I is inside
+    J^{[q]} iff I^{[1/q]} is inside J) and never forms a^{[k]}; other ideals
+    test a^{[k]} against b^{[q]}, which the antichain kernel decides term by
+    term when b is monomial.
     """
     _validate_pair(a, b, q)
-    check_radical_containment(a, b)
+    return _search(a, b, q, 0)
+
+
+def _search(a: Ideal, b: Ideal, q: int, seed: int) -> int:
+    # mu(q) of a checked pair, searched upward from a seed known to be outside
     p = a.ring.p
     if a.is_monomial:
 
@@ -134,11 +134,11 @@ def mu(a: Ideal, b: Ideal, q: int, *, _seed: int = 0) -> int:
         def outside(k: int) -> bool:
             return not ideal_contains(bq, frob_power_int(a, k))
 
-    if not outside(_seed):
+    if not outside(seed):
         raise PreconditionError("invalid search seed for mu")
     # Seeded from p*mu(q/p), the next value sits within p of the seed; start
     # the doubling bracket there and widen only if needed.
-    return _last_true(outside, _seed, _seed + p if _seed else 1)
+    return _last_true(outside, seed, seed + p if seed else 1)
 
 
 def nu(f: Polynomial, b: Ideal, q: int) -> int:
@@ -153,17 +153,19 @@ def nu(f: Polynomial, b: Ideal, q: int) -> int:
 def crit_truncations(a: Ideal, b: Ideal, e_max: int) -> TruncationReport:
     """mu(p^e)/p^e for e = 1..e_max, each search seeded from p * mu(previous).
 
-    The pair is checked by mu itself, at every level.
+    The pair is checked once, at q = p, as mu checks it: a must lie in the
+    radical of b, which is decided exactly.
     """
     if e_max < 1:
         raise PreconditionError("e_max must be at least 1")
     p = a.ring.p
+    _validate_pair(a, b, p)
     mus: list[int] = []
     qs: list[int] = []
     for e in range(1, e_max + 1):
         q = p**e
         seed = p * mus[-1] if mus else 0
-        mus.append(mu(a, b, q, _seed=seed))
+        mus.append(_search(a, b, q, seed))
         qs.append(q)
     q_max, mu_max = qs[-1], mus[-1]
     return TruncationReport(
@@ -287,17 +289,12 @@ def lce(a: Ideal, e_max: int, b_max: int = 4, c_max: int = 4) -> TruncationRepor
     Candidates must additionally avoid every forbidden interval
     (k/q, k/(q-1)), q <= p^e_max.  The forbidden bound mu(q)/(q-1) <= lce is
     tested first: when the Frobenius power there already lands inside the
-    maximal ideal, that value is the exact answer.
+    maximal ideal, that value is the exact answer.  A zero a, or one not
+    inside <x_1, ..., x_n>, fails crit_truncations' check of the pair with
+    PreconditionError.
     """
     _check_caps(b_max, c_max)
     ring = a.ring
-    if a.is_zero():
-        raise PreconditionError("lce requires a nonzero ideal")
-    zero_exp = (0,) * ring.nvars
-    if any(zero_exp in g.terms for g in a.gens):
-        raise PreconditionError(
-            "lce requires the ideal to sit inside <x_1, ..., x_n>"
-        )
     maximal = Ideal(ring, [ring.var(name) for name in ring.variables])
     report = crit_truncations(a, maximal, e_max)
     q_max, mu_max = report.q_list[-1], report.mu_list[-1]

@@ -244,11 +244,11 @@ def test_exit_code_resource_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["power", "--ideal", "a", "--t", "3", str(path)])
     assert code == 4
     assert "resource" in err
-    # an undetermined radical check hits RADICAL_EXPONENT_CAP
+    # x is not in the radical of <y^2 + x*y>: decided exactly, a precondition
     path.write_text("p 3\nvars x y\nideal a = x\nideal b = y^2 + x*y\n")
     code, _, err = run(capsys, ["mu", "--num", "a", "--den", "b", "--q", "9", str(path)])
-    assert code == 4
-    assert "RADICAL_EXPONENT_CAP" in err
+    assert code == 3
+    assert "generator x is not in the radical of b" in err
     # the Newton test ideal is priced before its prefix loop: t = 200 answers,
     # t = 10^4 (30003 prefixes times 30006) is refused
     path.write_text("p 3\nvars x y\nideal a = x^2, y^3\n")

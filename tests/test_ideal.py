@@ -72,6 +72,24 @@ def test_bracket_examples():
     assert bracket_power(ideal(R2, "x^2", "y^3"), 2) == ideal(R2, "x^4", "y^6")
 
 
+def test_non_integer_exponents_and_q_are_refused():
+    # a float is refused even when its value is an integer
+    R = ring2(3)
+    for u in ((1.5, 0), (1.0, 0), (1.5, -1)):
+        with pytest.raises(PreconditionError, match="integers"):
+            R.poly([(u, 1)])
+        with pytest.raises(PreconditionError, match="integers"):
+            MonomialIdeal(R, [u, (0, 2)])
+    # an integer out of range keeps its overflow error
+    with pytest.raises(ExponentOverflowError):
+        R.poly([((-1, 0), 1)])
+    a = ideal(R, "x^2+y^3", "x*y")
+    for q in (3.0, 9.0):
+        with pytest.raises(PreconditionError, match="not a power of p"):
+            bracket_power(a, q)
+    assert bracket_power(a, 3) == ideal(R, "x^6+y^9", "x^3*y^3")
+
+
 # -- integral Frobenius powers ---------------------------------------------------------
 
 

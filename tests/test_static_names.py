@@ -7,11 +7,13 @@ with the stdlib ``symtable`` and flags free names that are neither defined
 at module level (assignment, def, class, import) nor builtins.  A missing
 import in a rarely taken branch fails here instead of at run time.  The
 package's syntax trees, read with ``ast``, show which private functions no
-module names any more.
+module names any more, and which caps the modules define: README names
+exactly those.
 """
 
 import ast
 import builtins
+import re
 import symtable
 from pathlib import Path
 
@@ -165,3 +167,29 @@ def test_guard_flags_an_import_up_or_across_the_stack():
         "generic -> thresholds",
         "thresholds -> newmodule",
     ]
+
+
+def module_caps(sources: dict[str, str]) -> set[str]:
+    """The ``*_CAP`` names assigned at module level in the sources."""
+    return {
+        target.id
+        for text in sources.values()
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
+    }
+
+
+def test_readme_names_exactly_the_caps_that_exist():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert module_caps(sources) == set(re.findall(r"\b[A-Z_]+_CAP\b", readme))
+
+
+def test_guard_reads_caps_from_module_level_assignments():
+    sources = {
+        "a": "A_CAP = 3\nB_CAP: int = 4\nfrom .c import C_CAP\n",
+        "b": "def f():\n    D_CAP = 1\n    return D_CAP\nLIMIT = 2\n",
+    }
+    assert module_caps(sources) == {"A_CAP", "B_CAP"}

@@ -1,13 +1,17 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import frobpow.ideal
+import frobpow.thresholds
 from frobpow.arith import ceil_fraction
-from frobpow.errors import PreconditionError, ResourceCapError
-from frobpow.ideal import Ideal, ideal_power, ideal_sum
+from frobpow.errors import PreconditionError
+from frobpow.ideal import Ideal, ideal_contains, ideal_power, ideal_sum
 from frobpow.monomial import MonomialIdeal, newton_fpt
+from frobpow.poly import PolyRing
 from frobpow.thresholds import (
     TruncationReport,
     _denominators,
@@ -85,9 +89,9 @@ def test_radical_check_of_monomial_ideals_reads_the_antichain():
             check_radical_containment(a, ideal(R, "x*y"))
 
 
-def test_undetermined_radical_containment_is_a_resource_cap():
-    # x is not in the radical of <y^2 + x*y>, which only the Groebner route
-    # could settle, so its check runs out at the exponent cap.
+def test_a_non_member_of_the_radical_is_a_precondition():
+    # x is not in the radical of <y^2 + x*y> = <y> cap <x + y>; the check
+    # decides it, where squaring normal forms could only run out
     R = ring2(3)
     a, b = ideal(R, "x"), ideal(R, "y^2+x*y")
     for call in (
@@ -95,10 +99,74 @@ def test_undetermined_radical_containment_is_a_resource_cap():
         lambda: mu(a, b, 9),
         lambda: nu(R.var("x"), b, 9),
     ):
-        with pytest.raises(ResourceCapError) as exc:
+        with pytest.raises(PreconditionError, match=r"^generator x is not in the radical of b$"):
             call()
-        assert "RADICAL_EXPONENT_CAP 1024" in str(exc.value)
-        assert "exponent 1024" in str(exc.value)
+
+
+def test_a_member_of_the_radical_is_decided():
+    # x^50 lies in <y, x^50 + x*y>, so x is in its radical
+    R = ring2(3)
+    check_radical_containment(ideal(R, "x"), ideal(R, "y", "x^50+x*y"))
+
+
+def test_a_non_member_in_three_variables_is_decided_quickly():
+    R = PolyRing(7, ("x", "y", "z"))
+    a = ideal(R, "6*x^3*y^3*z^2 + 6*x*y^3*z^2 + 2*x^2*y^2*z")
+    b = ideal(R, "x^3*y^4*z^4 + 4*x*y^4*z^2 + 4*x^2*y*z", "x^4*y*z + x*z^2 + 4*y")
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="not in the radical of b"):
+        mu(a, b, 7)
+    assert time.perf_counter() - start < 20
+
+
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    data=st.data(),
+    m=st.integers(2, 4),
+)
+def test_radical_of_a_power_of_a_squarefree_polynomial(p, data, m):
+    # h, a product of distinct lines x + c*y + d, is squarefree, so the
+    # radical of <h^m> is <h>: the reference is membership in <h>
+    R = ring2(p)
+    coeffs = st.integers(0, p - 1)
+    lines = data.draw(st.lists(st.tuples(coeffs, coeffs), min_size=1, max_size=3, unique=True))
+    factors = [R.parse(f"x + {c}*y + {d}") for c, d in lines]
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, p - 1), min_size=1, max_size=3)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(factors), max_size=len(factors)))
+    # f is a cofactor times some of the lines: in <h> when it holds them all,
+    # or when the cofactor supplies the missing ones
+    f = math.prod((g for g, keep in zip(factors, kept) if keep), start=R.poly(data.draw(terms).items()))
+    h = math.prod(factors[1:], start=factors[0])
+    a, b = Ideal(R, [f]), Ideal(R, [h**m])
+    try:
+        check_radical_containment(a, b)
+        member = True
+    except PreconditionError:
+        member = False
+    assert member == ideal_contains(Ideal(R, [h]), a)
+
+
+def test_each_search_checks_its_pair_once(monkeypatch):
+    calls = []
+    real = frobpow.thresholds.check_radical_containment
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(frobpow.thresholds, "check_radical_containment", counted)
+    R = ring2(3)
+    m = maximal(R)
+    for a in (ideal(R, *M5_GENS), ideal(R, "x^2+y^3", "x*y")):
+        for search in (
+            lambda: mu(a, m, 9),
+            lambda: crit_truncations(a, m, 3),
+            lambda: crit_reconstruct(a, m, 2),
+            lambda: lce(a, 3),
+        ):
+            calls.clear()
+            search()
+            assert calls == [m]
 
 
 def test_nu_examples():
