@@ -14,9 +14,12 @@ metric's ``bound``, read as a fraction of
 the parent's median, flags the rest: ``worse`` when the change's median is
 worse than the parent's by more than the bound, ``unresolved`` when the
 parent's interquartile range alone is wider than the bound, unless the
-metric is worse or every change run beats every parent run.  A run that
-exits nonzero or does not report ``"correct": true`` stops the script with
-exit status 1.
+metric is worse or every change run beats every parent run.  A last row
+counts the tasks each run reports as ``failed`` (out of budget or raised);
+it is ``worse`` when the change failed more tasks over all pairs, and each
+pair's line shows both counts when either is nonzero.  A run that exits
+nonzero or does not report ``"correct": true`` stops the script with exit
+status 1.
 
 A tree is any directory holding a source checkout, such as a ``git
 worktree`` or ``git archive`` export of the parent commit.
@@ -33,6 +36,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FAILED = {"name": "failed", "unit": "task", "better": "lower"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,7 +81,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one perfbench run in tree; exits 1 unless it is correct."""
+    """The metrics and failed count of one perfbench run in tree; exits 1
+    unless it is correct."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -86,7 +91,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result.get("correct"):
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"error: {tree} seed {seed}: run exited {done.returncode} without a correct result")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {**metrics, "failed": result.get("failed", 0)}
 
 
 def main():
@@ -114,14 +120,18 @@ def main():
         for name in workloads:
             for side in order:
                 runs[name][side].append(run_once(getattr(args, side), name, seed, args.seconds))
+            old, new = runs[name]["parent"][-1], runs[name]["change"][-1]
+            failed = f", failed {old['failed']} -> {new['failed']}" if old["failed"] or new["failed"] else ""
             print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) {name}: wall_s "
-                  f"{runs[name]['parent'][-1]['wall_s']:.4g} -> {runs[name]['change'][-1]['wall_s']:.4g}",
-                  flush=True)
+                  f"{old['wall_s']:.4g} -> {new['wall_s']:.4g}{failed}", flush=True)
     last = args.first_seed + args.pairs - 1
     for name in workloads:
         print(f"{name}: {args.pairs} pairs, seeds {args.first_seed}-{last}, --seconds {args.seconds}")
         print(f"  {'metric':14s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins/losses")
-        for row in summarize(runs[name]["parent"], runs[name]["change"], benchmark["end_to_end"]):
+        parent, change = runs[name]["parent"], runs[name]["change"]
+        rows = summarize(parent, change, benchmark["end_to_end"] + [FAILED])
+        rows[-1]["worse"] = sum(r["failed"] for r in change) > sum(r["failed"] for r in parent)
+        for row in rows:
             (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
             print(f"  {row['name']:14s} {pm:10.4g} [{p1:.4g}, {p3:.4g}] {row['unit']:>4s}"
                   f" {cm:10.4g} [{c1:.4g}, {c3:.4g}] {row['unit']:>4s}"

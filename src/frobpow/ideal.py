@@ -31,7 +31,7 @@ from .monomial import (
     MonomialIdeal,
     mono_bracket,
     mono_contains,
-    mono_member,
+    mono_contains_points,
     mono_power,
     mono_product,
     mono_root,
@@ -245,21 +245,30 @@ def prune_generators(a: Ideal) -> Ideal:
     monos = MonomialIdeal._build(
         a.ring, (g.leading_exponent() for g in a.gens if g.is_term())
     )
-    kept = monos.polynomials() + [
-        g for g in a.gens if not all(mono_member(u, monos) for u in g.terms)
-    ]
+    kept = monos.polynomials() + [g for g in a.gens if not mono_contains_points(monos, g.terms)]
     if len(kept) == len(a.gens):
         return a
     return Ideal(a.ring, kept)
 
 
-# The ideal frob_power_int raised last, with its digit powers {d: a^d}, for
-# the threshold searches that raise one ideal at many exponents in a row.
+# The ideal raised last, with its digit powers {d: a^d}, for the threshold
+# searches that raise one ideal at many exponents in a row.
 # Identity is a sound key, as ideals never change, and needs no hashing (a
 # non-monomial hash computes a reduced basis).  A new ideal replaces the pair
 # in one store; the list is never rebound.  One slot bounds memory to what a
 # call holds anyway: a slot per ideal costs +13.9% power-sandwich peak RSS.
 _LAST_RAISED: list[tuple[Ideal, dict[int, Ideal]] | None] = [None]
+
+
+def _digit_power(a: Ideal, d: int) -> Ideal:
+    """a^d, built once while a is the ideal raised last."""
+    last = _LAST_RAISED[0]
+    if last is None or last[0] is not a:
+        last = _LAST_RAISED[0] = (a, {})
+    powers = last[1]
+    if d not in powers:
+        powers[d] = ideal_power(a, d)
+    return powers[d]
 
 
 def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> Ideal:
@@ -285,17 +294,10 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     if seed is not None:
         _same_ring(a, seed)
     p = a.ring.p
-    last = _LAST_RAISED[0]
-    if last is None or last[0] is not a:
-        last = _LAST_RAISED[0] = (a, {})
-    powers = last[1]
-
     monomial = a.is_monomial and (seed is None or seed.is_monomial)
 
     def power(d: int) -> Ideal | MonomialIdeal:
-        if d not in powers:
-            powers[d] = ideal_power(a, d)
-        return powers[d].to_monomial() if monomial else powers[d]
+        return _digit_power(a, d).to_monomial() if monomial else _digit_power(a, d)
 
     if monomial:
         root, root_product, bracket = mono_root, mono_product, mono_bracket
@@ -322,6 +324,51 @@ def frob_power_int(a: Ideal, k: int, q: int = 1, seed: Ideal | None = None) -> I
     if result is None:
         return Ideal.unit(a.ring)
     return Ideal.from_monomial(result) if monomial else result
+
+
+def _frob_power_inside(a: Ideal, k: int, c: Ideal) -> bool:
+    """Whether a^{[k]} lies in c, without building a^{[k]}.
+
+    a^{[k]} is generated by the products of one generator from each factor
+    (a^{d_i})^{[p^i]}, d_i the nonzero base-p digits of k.  A depth-first
+    walk forms each prefix product once, shares it with the products that
+    extend it, tests each product as it is formed and stops at the first one
+    outside c; it holds only the chain of prefixes.  The test is chosen once:
+    the membership kernel on the terms for a monomial c, a reduction to zero
+    mod c's basis otherwise.  Raises ResourceCapError once the products
+    formed pass COMPOSITION_CAP.
+    """
+    _same_ring(a, c)
+    if k == 0:
+        return c.is_unit()
+    p = a.ring.p
+    factors = [
+        [g.frobenius(p**i) for g in _digit_power(a, d).gens]
+        for i, d in enumerate(base_p_digits(k, p))
+        if d
+    ]
+    if c.is_monomial:
+        cm = c.to_monomial()
+        inside = lambda f: mono_contains_points(cm, f.terms)
+    else:
+        inside = c.reduced_basis().reduces_to_zero
+    last, formed = len(factors) - 1, 0
+
+    def all_inside(i: int, prefix: Polynomial | None) -> bool:
+        nonlocal formed
+        for g in factors[i]:
+            if prefix is not None:
+                formed += 1
+                if formed > COMPOSITION_CAP:
+                    raise ResourceCapError(
+                        f"a^[{k}] needs more than COMPOSITION_CAP ({COMPOSITION_CAP}) products"
+                    )
+                g = prefix * g
+            if not (inside(g) if i == last else all_inside(i + 1, g)):
+                return False
+        return True
+
+    return all_inside(0, None)
 
 
 def _products(polys, k: int, monos: MonomialIdeal | None = None):
@@ -433,7 +480,7 @@ def ideal_contains(a: Ideal, b: Ideal) -> bool:
         am = a.to_monomial()
         if b.is_monomial:
             return mono_contains(am, b.to_monomial())
-        return all(mono_member(u, am) for g in b.gens for u in g.terms)
+        return mono_contains_points(am, (u for g in b.gens for u in g.terms))
     gb = a.reduced_basis()
     return all(gb.reduces_to_zero(g) for g in b.gens)
 

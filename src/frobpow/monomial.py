@@ -156,9 +156,24 @@ def mono_member(u: Exponent, a: MonomialIdeal) -> bool:
     u = tuple(u)
     if len(u) != a.ring.nvars:
         raise ArityMismatchError("exponent arity mismatch")
-    if len(u) == 2:
-        return _staircase_index(a.gens, u, 0) > 0
-    return any(all(g <= e for g, e in zip(v, u)) for v in a.gens)
+    return mono_contains_points(a, (u,))
+
+
+def mono_contains_points(a: MonomialIdeal, points: Iterable[Exponent]) -> bool:
+    """Whether every x^u, u in points, lies in a: the membership kernel.
+
+    The points are trusted tuples of a's arity, such as a polynomial's
+    terms.  In two variables each point is one bisection of the staircase;
+    otherwise some generator must divide it componentwise.
+    """
+    gens = a.gens
+    if gens and len(gens[0]) == 2:
+        for u in points:
+            i = bisect_right(gens, (u[0], math.inf))
+            if not i or gens[i - 1][1] > u[1]:
+                return False
+        return True
+    return all(any(all(g <= e for g, e in zip(v, u)) for v in gens) for u in points)
 
 
 def _staircase_index(gens: Sequence[Exponent], u: Exponent, start: int) -> int:
@@ -182,7 +197,7 @@ def mono_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
             if not i:
                 return False
         return True
-    return all(mono_member(u, a) for u in b.gens)
+    return mono_contains_points(a, b.gens)
 
 
 def mono_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .frobpower import _last_true, rational_power
-from .ideal import Ideal, _check_q, bracket_power, frob_power_int, ideal_contains
+from .ideal import Ideal, _check_q, _frob_power_inside, bracket_power, frob_power_int, ideal_contains
 from .monomial import MonomialIdeal
 from .poly import Polynomial
 
@@ -108,9 +108,13 @@ def mu(a: Ideal, b: Ideal, q: int) -> int:
     bracketing from k = 0, and binary search; monotonicity of k -> a^{[k]}
     makes the predicate monotone.  For a monomial a each probe tests
     a^{[k/q]} inside b instead, which is the same question (I is inside
-    J^{[q]} iff I^{[1/q]} is inside J) and never forms a^{[k]}; other ideals
-    test a^{[k]} against b^{[q]}, which the antichain kernel decides term by
-    term when b is monomial.
+    J^{[q]} iff I^{[1/q]} is inside J) and never forms a^{[k]}.  For any
+    other a each probe streams the products of one generator from each
+    digit factor (a^d)^{[p^i]} of a^{[k]}, tests each against b^{[q]} as it
+    is formed (term by term in the antichain kernel when b is monomial, by
+    reduction mod its basis otherwise) and stops at the first one outside;
+    it never forms a^{[k]} either, and raises ResourceCapError once the
+    products formed in one probe pass COMPOSITION_CAP.
     """
     _validate_pair(a, b, q)
     return _search(a, b, q, 0)
@@ -125,14 +129,18 @@ def _search(a: Ideal, b: Ideal, q: int, seed: int) -> int:
             return not ideal_contains(b, frob_power_int(a, k, q))
 
     else:
-        # The rooted test would pay here too (general-path mu(a2, m, 625) at
-        # p = 5, 2-core x86: 1.9 s built, 0.01 s rooted), but rooted, the slow
-        # call of perfbench's budget self-test answers inside its 0.2 s
-        # budget; the port waits for a benchmark change that picks another.
+        # One product of digit-factor generators at a time, stopping at the
+        # first outside b^{[q]}: general-path mu(a2, m, 625) at p = 5 took
+        # 0.96-1.21 s when a^{[k]} was built, pruned and then tested, and
+        # takes 0.42-0.47 s this way (2-core x86).  Dropping the terms that already
+        # lie in b^{[q]}, or testing the rooted form as monomial a does
+        # (0.01 s), would answer it inside the 0.2 s budget of perfbench's
+        # budget self-test, whose slow call it is; both wait for the
+        # benchmark change (ROADMAP direction 1) that gives it another.
         bq = bracket_power(b, q)
 
         def outside(k: int) -> bool:
-            return not ideal_contains(bq, frob_power_int(a, k))
+            return not _frob_power_inside(a, k, bq)
 
     if not outside(seed):
         raise PreconditionError("invalid search seed for mu")

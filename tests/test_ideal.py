@@ -17,6 +17,7 @@ from frobpow.ideal import (
     ideal_product,
     ideal_sum,
     prune_generators,
+    _frob_power_inside,
 )
 from frobpow.monomial import MonomialIdeal, mono_contains
 from frobpow.poly import PolyRing, Polynomial
@@ -557,6 +558,59 @@ def test_rooted_power_skips_the_overflowing_full_power():
 
 
 # -- membership in a monomial ideal, generator pruning, hashing ---------------------
+
+
+@st.composite
+def walk_cases(draw):
+    """(a, k, c): a non-monomial ideal in 2 or 3 variables, 0 <= k < p^3,
+    and c the bracket b^{[q]} of a monomial b or of an m-primary binomial
+    ideal, or the unit ideal."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    R = PolyRing(p, ("x", "y", "z")[:n])
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.integers(1, p - 1)
+    binomial = R.poly([(u, draw(coeffs)) for u in draw(st.lists(exps, min_size=2, max_size=2, unique=True))])
+    # p = 5 digit powers of three generators make a^{[k]} slow to build
+    more = draw(st.lists(st.lists(exps, min_size=1, max_size=3, unique=True), max_size=2 if p < 5 else 1))
+    a = Ideal(R, [binomial, *(R.poly((u, draw(coeffs)) for u in terms) for terms in more)])
+    k = draw(st.integers(0, p**3 - 1))
+    q = p ** draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["monomial", "binomial", "unit"]))
+    if kind == "unit":
+        return a, k, Ideal.unit(R)
+    if kind == "monomial":
+        b = Ideal.from_monomial(MonomialIdeal(R, draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))))
+    else:
+        # <x^e + c y, y^e + c z, z^e> in three variables: m-primary
+        e = draw(st.integers(1, 3))
+        gens = [f"{v}^{e}+{draw(coeffs)}*{w}" for v, w in zip(R.variables, R.variables[1:])]
+        b = ideal(R, *gens, f"{R.variables[-1]}^{e}")
+    return a, k, bracket_power(b, q)
+
+
+@given(case=walk_cases())
+def test_frobenius_power_walk_decides_like_the_built_power(case):
+    a, k, c = case
+    assert _frob_power_inside(a, k, c) == ideal_contains(c, frob_power_int(a, k))
+
+
+def test_frobenius_power_walk_counts_its_products_against_the_cap(monkeypatch):
+    import frobpow.ideal
+
+    R = ring2(3)
+    a = ideal(R, "x^2+x*y", "y^3+x^2*y")
+    # k = 8 = 2 + 2*3: the factors a^2 and (a^2)^{[3]}, of three generators
+    # each, form nine products when every one lies inside
+    monkeypatch.setattr(frobpow.ideal, "COMPOSITION_CAP", 9)
+    assert _frob_power_inside(a, 8, Ideal.unit(R))
+    monkeypatch.setattr(frobpow.ideal, "COMPOSITION_CAP", 8)
+    with pytest.raises(ResourceCapError, match=r"COMPOSITION_CAP \(8\)"):
+        _frob_power_inside(a, 8, Ideal.unit(R))
+    # the walk stops at the first product outside
+    monkeypatch.setattr(frobpow.ideal, "COMPOSITION_CAP", 1)
+    assert not _frob_power_inside(a, 8, Ideal.zero(R))
+    assert not _frob_power_inside(a, 8, ideal(R, "x^20+y", "y^40"))
 
 
 def _divides(v, u):

@@ -11,12 +11,13 @@ from frobpow.cli import _ideal_result
 from frobpow.arith import MAX_EXPONENT
 from frobpow.errors import ExponentOverflowError, PreconditionError, ResourceCapError
 from frobpow.groebner import groebner_basis, normal_form
-from frobpow.ideal import Ideal, frob_root
+from frobpow.ideal import Ideal, frob_root, ideal_contains
 from frobpow.monomial import (
     MonomialIdeal,
     minimalize,
     mono_bracket,
     mono_contains,
+    mono_contains_points,
     _enumerate_facets,
     _newton_facets,
     mono_member,
@@ -93,6 +94,38 @@ def test_staircase_bisection_matches_brute_force(exps, probes):
     for u in probes:
         assert mono_member(u, a) == any(divides(v, u) for v in exps)
     assert mono_contains(a, b) == all(any(divides(v, u) for v in exps) for u in probes)
+
+
+@given(data=st.data())
+def test_membership_kernel_is_divisibility(data):
+    n = data.draw(st.integers(1, 4))
+    R = PolyRing(5, ("x", "y", "z", "w")[:n])
+    vec = st.tuples(*[st.integers(0, 5)] * n)
+    # an empty list is the zero ideal; the origin makes the unit ideal
+    gens = data.draw(st.lists(vec, max_size=6) | st.just([(0,) * n]))
+    points = data.draw(st.lists(vec, max_size=6))
+    a = MonomialIdeal(R, gens)
+
+    def member(u):
+        return any(all(g <= e for g, e in zip(v, u)) for v in gens)
+
+    got = mono_contains_points(a, points)
+    assert got == all(map(member, points))
+    assert mono_contains_points(a, iter(points)) == got
+    for u in points:
+        assert mono_member(u, a) == mono_contains_points(a, [u]) == member(u)
+    assert mono_contains(a, MonomialIdeal(R, points)) == got
+    f = R.poly((u, 1) for u in points)
+    assert ideal_contains(Ideal.from_monomial(a), Ideal(R, [f])) == got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_membership_kernel_on_the_zero_and_unit_ideals(n):
+    R = PolyRing(3, ("x", "y", "z", "w")[:n])
+    points = [(0,) * n, (2,) * n]
+    assert mono_contains_points(MonomialIdeal(R, [(0,) * n]), points)
+    assert not mono_contains_points(MonomialIdeal(R, []), points[1:])
+    assert mono_contains_points(MonomialIdeal(R, []), [])
 
 
 staircases = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12)

@@ -233,6 +233,51 @@ def test_bench_pairs_runs_every_named_workload_in_each_pair(tmp_path):
     assert headers == [w["name"] for w in benchmark["workloads"]]
 
 
+# A stand-in for perfbench/run.py whose result line counts failed tasks: the
+# file `failed` beside it holds one count per call, in call order.
+STUB_RUN_FAILING = """\
+import json
+from pathlib import Path
+
+here = Path(__file__).parent
+calls = here / "calls"
+n = len(calls.read_text().splitlines()) if calls.exists() else 0
+calls.write_text("x\\n" * (n + 1))
+failed = int((here / "failed").read_text().split()[n])
+metrics = {"wall_s": 1.0 + failed, "task_p50_ms": 1.0, "task_p90_ms": 2.0,
+           "solved_frac": 1.0, "setup_s": 0.1, "peak_rss_mb": 20.0}
+print(json.dumps({"correct": True, "failed": failed,
+                  "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+"""
+
+
+def test_bench_pairs_shows_failed_tasks(tmp_path):
+    trees = []
+    for side, counts in (("parent", "0 0 2"), ("change", "0 7 1")):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN_FAILING)
+        (tmp_path / side / "perfbench" / "failed").write_text(counts)
+        trees.append(str(tmp_path / side))
+    out = run_script("bench_pairs.py", *trees, "--workload", "general-path",
+                     "--pairs", "3", "--seconds", "0", "--first-seed", "1")
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "pair 1/3 (seed 1, parent first) general-path: wall_s 1 -> 1",
+        "pair 2/3 (seed 2, change first) general-path: wall_s 1 -> 8, failed 0 -> 7",
+        "pair 3/3 (seed 3, parent first) general-path: wall_s 3 -> 2, failed 2 -> 1",
+    ]
+    (failed,) = [line.split() for line in lines if line.startswith("  failed")]
+    # 2 failed tasks in the parent's runs, 8 in the change's
+    assert failed[1] == "0" and failed[-2:] == ["1/1", "worse"]
+    (tmp_path / "change" / "perfbench" / "calls").unlink()
+    (tmp_path / "change" / "perfbench" / "failed").write_text("0 0 2")
+    (tmp_path / "parent" / "perfbench" / "calls").unlink()
+    out = run_script("bench_pairs.py", *trees, "--workload", "general-path",
+                     "--pairs", "3", "--seconds", "0")
+    (failed,) = [line.split() for line in out.splitlines() if line.startswith("  failed")]
+    assert failed[-1] == "0/0"
+
+
 # Five code lines: the docstrings, comments and blank lines are not code,
 # and a string that is not a docstring is code on each line it spans.
 LOC_MODULE = '''"""Module docstring,

@@ -65,6 +65,32 @@ def test_a_search_builds_each_digit_power_once(monkeypatch, search, gens):
     assert len(set(built)) == len(built) <= R.p - 1
 
 
+def test_non_monomial_searches_build_no_frobenius_power(monkeypatch):
+    # a^{[k]} of a non-monomial a is decided one product at a time: neither
+    # the power nor a product of ideals is built, whatever b is
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ideal power or product was built")
+
+    monkeypatch.setattr(frobpow.thresholds, "frob_power_int", refuse)
+    monkeypatch.setattr(frobpow.ideal, "ideal_product", refuse)
+    R3, R5 = ring2(3), ring2(5)
+    S2, S3 = PolyRing(2, ("x", "y", "z")), PolyRing(3, ("x", "y", "z"))
+    a2 = ("x^2+x*y", "y^3+x^2*y")
+    # two variables, monomial and non-monomial b
+    assert mu(ideal(R3, "x^2+y^3", "x*y"), maximal(R3), 27) == 26
+    assert crit_truncations(ideal(R3, "x^2+y^3", "x*y"), maximal(R3), 3).mu_list == (2, 8, 26)
+    assert mu(ideal(R3, *a2), ideal(R3, "x^3+y^3", "x*y^2", "x^2*y"), 81) == 161
+    assert crit_truncations(ideal(R5, *a2), ideal(R5, "x^2+y", "y^2"), 2).mu_list == (9, 49)
+    assert nu(R5.parse("x^2+y^3"), maximal(R5), 25) == 19
+    assert nu(R5.parse("x^2+y^3"), ideal(R5, "x^2+y", "y^2"), 25) == 49
+    # three variables
+    assert mu(ideal(S2, "x^2+y*z", "y^2+x*z", "z^3"), maximal(S2), 8) == 7
+    assert nu(S2.parse("x*y+z^2+x^3"), maximal(S2), 4) == 3
+    assert crit_truncations(ideal(S3, "x^2+y*z", "x*y+z^2"), maximal(S3), 2).mu_list == (2, 8)
+    assert mu(ideal(S3, "x^2+y*z", "x*y+z^2"), ideal(S3, "x+y", "y^2", "z^2"), 9) == 17
+    assert nu(S3.parse("x*y+z^2"), ideal(S3, "x+y", "y^2", "z^2"), 9) == 8
+
+
 def test_mu_rejects_bad_inputs():
     R = ring2(3)
     m = maximal(R)
